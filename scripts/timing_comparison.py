@@ -1,44 +1,48 @@
 """Training-cost sweep: vectorized vs per-mode class-specific fits.
 
 Each size entry is dims:subspace (for example 40x30:7x7). For every
-size the script times one vectorized fit at the product dimension and
-one alternating multilinear fit, best of --repeats, and prints the
-measured wall-time ratio next to the dominant-term prediction (one
-eigensolve at the product dimension against max_iter sweeps of
-per-mode solves).
+size the script runs ``mcsda bench`` once, which times one vectorized
+fit at the product dimension and one alternating multilinear fit, best
+of --repeats, and prints the measured wall-time ratio next to the
+dominant-term prediction (one eigensolve at the product dimension
+against max_iter sweeps of per-mode solves).
 
 Example:
     python3 scripts/timing_comparison.py --sizes 20x15:5x5,40x30:7x7
 """
 
 import argparse
+import contextlib
+import io
 import json
-import math
-import time
+import sys
+import tempfile
+from pathlib import Path
 
-from mcsda import SynthSpec, TrainConfig, fit_csda, fit_mcsda, synth_generate
+from mcsda.cli import main as cli_main
 
 
 def parse_sizes(text):
     sizes = []
     for chunk in text.split(","):
         dims_text, sub_text = chunk.split(":")
-        sizes.append(
-            (
-                tuple(int(p) for p in dims_text.split("x")),
-                tuple(int(p) for p in sub_text.split("x")),
-            )
-        )
+        sizes.append((dims_text, sub_text))
     return sizes
 
 
-def best_of(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def bench(dims, sub, args, report):
+    """One ``mcsda bench`` run; returns its JSON result."""
+    argv = [
+        "bench", "--dims", dims, "--subspace", sub,
+        "--n", str(args.n), "--repeats", str(args.repeats),
+        "--lambda", str(args.reg_lambda), "--max-iter", str(args.max_iter),
+        "--seed", str(args.seed), "--report", str(report),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(argv)
+    if code != 0:
+        sys.exit(f"mcsda bench failed for {dims}:{sub} (exit code {code})")
+    return json.loads(report.read_text())
 
 
 def main():
@@ -55,42 +59,19 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    for dims, sub in args.sizes:
-        data = synth_generate(
-            SynthSpec(
-                dims=dims,
-                n_classes=2,
-                samples_per_class=max(1, args.n // 2),
-                class_mean_scale=5.0,
-                noise_sigma=1.0,
-                seed=args.seed,
+    with tempfile.TemporaryDirectory() as tmp:
+        for dims, sub in args.sizes:
+            result = bench(dims, sub, args, Path(tmp) / "bench.json")
+            rows.append(
+                {
+                    "dims": result["dims"],
+                    "subspace": result["subspace"],
+                    "csda_seconds": result["csda_seconds"],
+                    "mcsda_seconds": result["mcsda_seconds"],
+                    "ratio": result["ratio_csda_over_mcsda"],
+                    "predicted_ratio": result["predicted_ratio"],
+                }
             )
-        )
-        vec_cfg = TrainConfig(
-            subspace_dims=math.prod(sub),
-            reg_lambda=args.reg_lambda,
-            max_iter=args.max_iter,
-        )
-        ten_cfg = TrainConfig(
-            subspace_dims=sub, reg_lambda=args.reg_lambda, max_iter=args.max_iter
-        )
-        vec_s = best_of(lambda: fit_csda(data, 1, vec_cfg), args.repeats)
-        ten_s = best_of(lambda: fit_mcsda(data, 1, ten_cfg), args.repeats)
-        big = math.prod(dims)
-        predicted = (data.count * big**2 + 6.5 * big**3) / (
-            args.max_iter
-            * (data.count * big * sum(sub) + 6.5 * sum(d**3 for d in dims))
-        )
-        rows.append(
-            {
-                "dims": list(dims),
-                "subspace": list(sub),
-                "csda_seconds": vec_s,
-                "mcsda_seconds": ten_s,
-                "ratio": vec_s / ten_s,
-                "predicted_ratio": predicted,
-            }
-        )
 
     print(f"{'dims':>8} {'subspace':>9} {'csda s':>9} {'mcsda s':>9} "
           f"{'ratio':>7} {'predicted':>10}")

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -87,17 +88,7 @@ def _train_config(args, method: str) -> TrainConfig:
 
 
 def _fit_report_entry(model) -> dict:
-    rep = model.fit_report
-    return {
-        "class": model.positive_class,
-        "method": model.method,
-        "parameter_count": rep.parameter_count,
-        "iterations_run": rep.iterations_run,
-        "converged": rep.converged,
-        "objective_trace": rep.objective_trace,
-        "convergence_trace": rep.convergence_trace,
-        "wall_time_seconds": rep.wall_time_seconds,
-    }
+    return {"class": model.positive_class, "method": model.method, **asdict(model.fit_report)}
 
 
 def cmd_synth(args) -> int:

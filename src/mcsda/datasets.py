@@ -44,7 +44,8 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """N same-shaped float64 tensors with 1-based integer class labels."""
+    """N same-shaped finite float64 tensors with 1-based integer class
+    labels."""
 
     samples: np.ndarray  # (count, *dims)
     labels: np.ndarray  # (count,) ints in 1..n_classes
@@ -65,6 +66,11 @@ class LabeledDataset:
             raise ValueError(
                 f"labels must lie in 1..{self.n_classes}, found range "
                 f"{labels.min()}..{labels.max()}"
+            )
+        finite = np.isfinite(samples).all(axis=tuple(range(1, samples.ndim)))
+        if not finite.all():
+            raise ValueError(
+                f"sample {int(np.argmin(finite))} holds a NaN or infinite value"
             )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
@@ -257,7 +263,11 @@ def load_dataset(path) -> LabeledDataset:
     stacked = flat.reshape(manifest.dims + (manifest.count,), order="F")
     samples = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
     labels = _read_labels(root / manifest.label_file, manifest.count, manifest.n_classes)
-    return LabeledDataset(samples=samples, labels=labels, n_classes=manifest.n_classes)
+    try:
+        return LabeledDataset(samples=samples, labels=labels, n_classes=manifest.n_classes)
+    except ValueError as exc:
+        # file contents the container rejects, such as a NaN sample
+        raise DatasetFormatError(f"{data_path}: {exc}") from exc
 
 
 def stratified_split(

@@ -1,12 +1,13 @@
 """Discriminant subspace learning on vector and tensor data.
 
-Four trainers share one regularized ratio-trace eigensolver. ``fit_lda``
-and ``fit_csda`` vectorize their samples and learn a single projection
-matrix in one eigensolve. ``fit_mda`` and ``fit_mcsda`` keep the native
-tensor shape and learn one projection matrix per mode by alternating
-per-mode eigensolves: Gauss-Seidel sweeps over modes starting from an
-all-ones initialization, terminated when the summed projector distance
-between consecutive sweeps drops to `eps`.
+All four trainers run on one fit engine: each criterion is a pair of
+numerator and denominator stacks of centered tensors, and the engine
+runs Gauss-Seidel sweeps of per-mode regularized ratio-trace
+eigensolves over them. ``fit_mda`` and ``fit_mcsda`` keep the native
+tensor shape and learn one projection matrix per mode, sweeping from an
+all-ones initialization until the summed projector distance between
+consecutive sweeps drops to `eps`. ``fit_lda`` and ``fit_csda`` are the
+one-mode case: the stacks are vectorized, so one sweep is one eigensolve.
 
 The class-specific criteria (``csda``, ``mcsda``) separate one positive
 class from everything else and center every scatter on the positive
@@ -21,14 +22,14 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from .datasets import LabeledDataset
 from .linalg import ScatterPair, solve_ratio_trace
-from .tensor_ops import multi_project
+from .tensor_ops import _project_stack, multi_project
 
 __all__ = [
     "VECTOR_METHODS",
@@ -149,11 +150,13 @@ class DiscriminantModel:
     positive_class: int | None
     config: TrainConfig
     fit_report: FitReport
-    class_means: np.ndarray | None = field(default=None)
+    class_means: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
-# statistics and scatters
+# statistics and criterion stacks: every criterion is a numerator and a
+# denominator stack of centered (N, *dims) tensors, the common input of
+# the scatters, the objectives and the fit engine
 
 
 def _flatten_samples(samples: np.ndarray) -> np.ndarray:
@@ -164,16 +167,19 @@ def _flatten_samples(samples: np.ndarray) -> np.ndarray:
     return np.moveaxis(samples, 0, -1).reshape(flat_dim, n, order="F").T
 
 
+def _check_positive(positive: int, n_classes: int) -> None:
+    if not 1 <= positive <= n_classes:
+        raise ValueError(f"positive class {positive} outside 1..{n_classes}")
+
+
 def class_statistics(data: LabeledDataset, positive: int | None = None) -> ClassStatistics:
     """Class means, counts and total mean; errors on any empty class."""
     counts = data.class_counts()
     for label, count in enumerate(counts, start=1):
         if count == 0:
             raise ValueError(f"class {label} is empty")
-    if positive is not None and not 1 <= positive <= data.n_classes:
-        raise ValueError(
-            f"positive class {positive} outside 1..{data.n_classes}"
-        )
+    if positive is not None:
+        _check_positive(positive, data.n_classes)
     dims = data.dims
     class_means = np.empty((data.n_classes, *dims), dtype=np.float64)
     for label in range(1, data.n_classes + 1):
@@ -188,66 +194,73 @@ def class_statistics(data: LabeledDataset, positive: int | None = None) -> Class
     )
 
 
-def _symmetrized_gram(rows: np.ndarray) -> np.ndarray:
-    s = rows.T @ rows
-    return 0.5 * (s + s.T)
+def _class_specific_stacks(data: LabeledDataset, positive: int):
+    """Statistics, then the out-of-class (numerator) and in-class
+    (denominator) stacks, every sample centered on the positive class
+    mean."""
+    stats = class_statistics(data, positive=positive)
+    pos_mask = data.labels == positive
+    if pos_mask.all():
+        raise ValueError("every sample belongs to the positive class")
+    centered = data.samples - stats.positive_mean
+    return stats, centered[~pos_mask], centered[pos_mask]
+
+
+def _multiclass_stacks(data: LabeledDataset):
+    """Statistics, then the count-weighted class-mean offsets (between,
+    numerator) and the within-class residuals (denominator)."""
+    stats = class_statistics(data)
+    shape = (-1,) + (1,) * len(data.dims)
+    between = (stats.class_means - stats.total_mean) * np.sqrt(
+        stats.counts
+    ).reshape(shape)
+    within = data.samples - stats.class_means[data.labels - 1]
+    return stats, between, within
+
+
+def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
+    """Mode-`mode` scatters of both stacks: the sum over each stack of
+    U U^T, where U is the mode-`mode` unfolding of an entry after
+    projecting every other mode. With the defaults, the plain scatters of
+    flattened (N, P) stacks.
+
+    The unfolding column order here differs from the fiber convention,
+    which is harmless: U U^T is invariant to column permutations.
+    """
+
+    def scatter(stack):
+        h = np.moveaxis(_project_stack(stack, projections, skip=mode), mode + 1, 0)
+        h = h.reshape(h.shape[0], -1)
+        s = h @ h.T
+        return 0.5 * (s + s.T)
+
+    return ScatterPair(numerator=scatter(num), denominator=scatter(den))
 
 
 def lda_scatters(data: LabeledDataset) -> ScatterPair:
     """Between-class (numerator) and within-class (denominator) scatters
     of the vectorized samples."""
-    stats = class_statistics(data)
-    x = _flatten_samples(data.samples)
-    means = _flatten_samples(stats.class_means)
-    total = stats.total_mean.ravel(order="F")
-    diffs = (means - total) * np.sqrt(stats.counts)[:, None]
-    s_b = _symmetrized_gram(diffs)
-    centered = x - means[data.labels - 1]
-    s_w = _symmetrized_gram(centered)
-    return ScatterPair(numerator=s_b, denominator=s_w)
+    _, between, within = _multiclass_stacks(data)
+    return _scatter_pair(_flatten_samples(between), _flatten_samples(within))
 
 
 def csda_scatters(data: LabeledDataset, positive: int) -> ScatterPair:
     """Out-of-class (numerator) and in-class (denominator) scatters, both
     centered on the positive class mean, over vectorized samples."""
-    stats = class_statistics(data, positive=positive)
-    pos_mask = data.labels == positive
-    if pos_mask.all():
-        raise ValueError("every sample belongs to the positive class")
-    x = _flatten_samples(data.samples)
-    centered = x - stats.positive_mean.ravel(order="F")
-    s_out = _symmetrized_gram(centered[~pos_mask])
-    s_in = _symmetrized_gram(centered[pos_mask])
-    return ScatterPair(numerator=s_out, denominator=s_in)
+    _, num, den = _class_specific_stacks(data, positive)
+    return _scatter_pair(_flatten_samples(num), _flatten_samples(den))
 
 
-def _mode_scatter(stack: np.ndarray, projections, skip: int) -> np.ndarray:
-    """Sum over the leading axis of U U^T, where U is the mode-`skip`
-    unfolding of each entry after projecting every other mode.
-
-    The unfolding column order here differs from the fiber convention,
-    which is harmless: U U^T is invariant to column permutations.
-    """
-    out = stack
-    for q, w in enumerate(projections):
-        if q == skip:
-            continue
-        w = np.asarray(w, dtype=np.float64)
-        out = np.moveaxis(np.tensordot(w.T, out, axes=(1, q + 1)), 0, q + 1)
-    h = np.moveaxis(out, skip + 1, 0)
-    h = h.reshape(h.shape[0], -1)
-    s = h @ h.T
-    return 0.5 * (s + s.T)
-
-
-def _check_projection_list(projections, dims, skip: int | None = None):
+def _check_projection_list(projections, dims, mode: int):
+    if not 0 <= mode < len(dims):
+        raise ValueError(f"mode {mode} out of range for {len(dims)}-mode data")
     ws = [np.asarray(w, dtype=np.float64) for w in projections]
     if len(ws) != len(dims):
         raise ValueError(
             f"expected {len(dims)} projection matrices, got {len(ws)}"
         )
     for k, w in enumerate(ws):
-        if k == skip:
+        if k == mode:
             continue
         if w.ndim != 2 or w.shape[0] != dims[k]:
             raise ValueError(
@@ -266,59 +279,40 @@ def mode_k_class_specific_scatters(
     `projections` is ignored), unfolded along `mode`, and accumulated as
     U U^T: negatives into the numerator, positives into the denominator.
     """
-    dims = data.dims
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for {len(dims)}-mode data")
-    ws = _check_projection_list(projections, dims, skip=mode)
-    stats = class_statistics(data, positive=positive)
-    pos_mask = data.labels == positive
-    if pos_mask.all():
-        raise ValueError("every sample belongs to the positive class")
-    centered = data.samples - stats.positive_mean
-    return ScatterPair(
-        numerator=_mode_scatter(centered[~pos_mask], ws, mode),
-        denominator=_mode_scatter(centered[pos_mask], ws, mode),
-    )
+    ws = _check_projection_list(projections, data.dims, mode)
+    _, num, den = _class_specific_stacks(data, positive)
+    return _scatter_pair(num, den, ws, mode)
 
 
 def mda_mode_scatters(data: LabeledDataset, projections, mode: int) -> ScatterPair:
     """Mode-`mode` between-class (count-weighted) and within-class
     scatters for the multi-class tensor criterion."""
-    dims = data.dims
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for {len(dims)}-mode data")
-    ws = _check_projection_list(projections, dims, skip=mode)
-    stats = class_statistics(data)
-    shape = (-1,) + (1,) * len(dims)
-    between = (stats.class_means - stats.total_mean) * np.sqrt(
-        stats.counts
-    ).reshape(shape)
-    within = data.samples - stats.class_means[data.labels - 1]
-    return ScatterPair(
-        numerator=_mode_scatter(between, ws, mode),
-        denominator=_mode_scatter(within, ws, mode),
-    )
+    ws = _check_projection_list(projections, data.dims, mode)
+    _, between, within = _multiclass_stacks(data)
+    return _scatter_pair(between, within, ws, mode)
 
 
 # ---------------------------------------------------------------------------
 # objectives and convergence
 
 
-def _project_stack(stack: np.ndarray, projections) -> np.ndarray:
-    out = stack
-    for q, w in enumerate(projections):
-        w = np.asarray(w, dtype=np.float64)
-        out = np.moveaxis(np.tensordot(w.T, out, axes=(1, q + 1)), 0, q + 1)
-    return out
+def _objective(num: np.ndarray, den: np.ndarray, projections) -> float:
+    """Ratio of the projected squared norms of the two stacks.
 
-
-def _projected_sq_norm(stack: np.ndarray, projections) -> float:
-    out = _project_stack(stack, projections)
-    return float(np.sum(out * out))
-
-
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else math.inf
+    A single matrix for multi-mode stacks projects the flattened samples
+    (the vector-method route); otherwise there is one matrix per mode.
+    """
+    ws = [np.asarray(w, dtype=np.float64) for w in projections]
+    if len(ws) == 1 and num.ndim > 2:
+        num, den = _flatten_samples(num), _flatten_samples(den)
+    elif len(ws) != num.ndim - 1:
+        raise ValueError(
+            f"expected {num.ndim - 1} projection matrices, got {len(ws)}"
+        )
+    p = _project_stack(num, ws)
+    q = _project_stack(den, ws)
+    num_norm, den_norm = float(np.sum(p * p)), float(np.sum(q * q))
+    return num_norm / den_norm if den_norm > 0 else math.inf
 
 
 def class_specific_objective(data: LabeledDataset, positive: int, projections) -> float:
@@ -328,41 +322,14 @@ def class_specific_objective(data: LabeledDataset, positive: int, projections) -
     `projections` may be one matrix per mode, or a single matrix applied
     to the vectorized samples (the vector-method route).
     """
-    stats = class_statistics(data, positive=positive)
-    pos_mask = data.labels == positive
-    if pos_mask.all():
-        raise ValueError("every sample belongs to the positive class")
-    ws = list(projections)
-    if len(ws) == 1 and len(data.dims) != 1:
-        centered = _flatten_samples(data.samples - stats.positive_mean)
-    else:
-        if len(ws) != len(data.dims):
-            raise ValueError(
-                f"expected {len(data.dims)} projection matrices, got {len(ws)}"
-            )
-        centered = data.samples - stats.positive_mean
-    num = _projected_sq_norm(centered[~pos_mask], ws)
-    den = _projected_sq_norm(centered[pos_mask], ws)
-    return _ratio(num, den)
+    _, num, den = _class_specific_stacks(data, positive)
+    return _objective(num, den, projections)
 
 
 def multiclass_objective(data: LabeledDataset, projections) -> float:
     """Ratio of projected between-class to within-class scatter."""
-    stats = class_statistics(data)
-    shape = (-1,) + (1,) * len(data.dims)
-    between = (stats.class_means - stats.total_mean) * np.sqrt(
-        stats.counts
-    ).reshape(shape)
-    within = data.samples - stats.class_means[data.labels - 1]
-    ws = list(projections)
-    if len(ws) == 1 and len(data.dims) != 1:
-        between = _flatten_samples(between)
-        within = _flatten_samples(within)
-    elif len(ws) != len(data.dims):
-        raise ValueError(
-            f"expected {len(data.dims)} projection matrices, got {len(ws)}"
-        )
-    return _ratio(_projected_sq_norm(between, ws), _projected_sq_norm(within, ws))
+    _, between, within = _multiclass_stacks(data)
+    return _objective(between, within, projections)
 
 
 def _subspace_projector(w: np.ndarray, strict: bool = False) -> np.ndarray:
@@ -373,11 +340,8 @@ def _subspace_projector(w: np.ndarray, strict: bool = False) -> np.ndarray:
     """
     w = np.asarray(w, dtype=np.float64)
     u, s, _ = np.linalg.svd(w, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        tol = max(w.shape) * np.finfo(np.float64).eps * s[0]
-        rank = int(np.count_nonzero(s > tol))
+    tol = max(w.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
+    rank = int(np.count_nonzero(s > tol))
     if strict and rank < w.shape[1]:
         raise LinAlgError(
             f"projection matrix of shape {w.shape} is rank-deficient "
@@ -435,11 +399,7 @@ def _scalar_subspace_dim(subspace_dims) -> int:
 
 
 def _tensor_subspace_dims(subspace_dims, dims) -> tuple[int, ...]:
-    sub = (
-        (int(subspace_dims),)
-        if not isinstance(subspace_dims, tuple)
-        else subspace_dims
-    )
+    sub = subspace_dims if isinstance(subspace_dims, tuple) else (int(subspace_dims),)
     if len(sub) != len(dims):
         raise ValueError(
             f"need one subspace dimension per mode: got {sub} for dims {dims}"
@@ -458,80 +418,101 @@ def _init_projections(dims, sub_dims, init: str) -> list[np.ndarray]:
     return [np.eye(i, j) for i, j in zip(dims, sub_dims)]
 
 
-def _single_solve_report(
-    objective: float, wall: float, n_params: int
-) -> FitReport:
-    # one closed-form eigensolve: report a single trivially converged sweep
-    return FitReport(
-        objective_trace=[float(objective)],
-        convergence_trace=[0.0],
-        iterations_run=1,
-        converged=True,
-        wall_time_seconds=wall,
-        parameter_count=n_params,
-    )
+def _sweep(num, den, ws, sub_dims, ridge: float) -> None:
+    """One Gauss-Seidel sweep: solve each mode's pencil in turn, every
+    other mode projected with its latest matrix, updating `ws` in place."""
+    for k, d in enumerate(sub_dims):
+        ws[k] = solve_ratio_trace(_scatter_pair(num, den, ws, k), d, ridge).vectors
 
 
-def _alternating_fit(num_stack, den_stack, dims, sub_dims, config):
-    """Gauss-Seidel sweeps of per-mode eigensolves for stacks of centered
-    tensors whose mode scatters form the numerator and denominator."""
-    ws = _init_projections(dims, sub_dims, config.init)
+def _alternate(num, den, ws, sub_dims, config):
+    """Sweeps until the summed projector distance between consecutive
+    sweeps drops to `eps`; returns the objective and distance traces and
+    whether that happened within `max_iter` sweeps."""
     # the all-ones init is rank one, so the first sweep's distance uses
     # the truncated column-space projector rather than the strict form
     prev = [_subspace_projector(w) for w in ws]
     objective_trace: list[float] = []
     convergence_trace: list[float] = []
-    converged = False
-    sweeps = 0
-    for _ in range(config.max_iter):
-        for k in range(len(dims)):
-            pair = ScatterPair(
-                numerator=_mode_scatter(num_stack, ws, k),
-                denominator=_mode_scatter(den_stack, ws, k),
-            )
-            ws[k] = solve_ratio_trace(pair, sub_dims[k], config.reg_lambda).vectors
-        sweeps += 1
-        objective_trace.append(
-            _ratio(
-                _projected_sq_norm(num_stack, ws),
-                _projected_sq_norm(den_stack, ws),
-            )
-        )
+    for sweep in range(1, config.max_iter + 1):
+        _sweep(num, den, ws, sub_dims, config.reg_lambda)
+        objective_trace.append(_objective(num, den, ws))
         current = [_subspace_projector(w) for w in ws]
-        delta = float(
-            sum(np.linalg.norm(c - p) for c, p in zip(current, prev))
-        )
+        delta = float(sum(np.linalg.norm(c - p) for c, p in zip(current, prev)))
         convergence_trace.append(delta)
         prev = current
         logger.debug(
-            "sweep %d: objective=%.6g delta=%.3g", sweeps, objective_trace[-1], delta
+            "sweep %d: objective=%.6g delta=%.3g", sweep, objective_trace[-1], delta
         )
         if delta <= config.eps:
-            converged = True
-            break
-    return ws, objective_trace, convergence_trace, sweeps, converged
+            return objective_trace, convergence_trace, True
+    return objective_trace, convergence_trace, False
 
 
-def fit_csda(data: LabeledDataset, positive: int, config: TrainConfig) -> DiscriminantModel:
-    """Single eigensolve of the vectorized class-specific criterion."""
+def _fit(
+    data: LabeledDataset, method: str, positive: int | None, config: TrainConfig
+) -> DiscriminantModel:
+    """The fit engine behind all four trainers.
+
+    Builds the criterion's two stacks once, then runs Gauss-Seidel sweeps
+    of per-mode eigensolves. A vector method is the one-mode case: both
+    stacks are flattened, so a single sweep solves the pencil jointly and
+    is reported as one trivially converged sweep, without the projector
+    check.
+    """
     start = time.perf_counter()
-    d = _scalar_subspace_dim(config.subspace_dims)
-    pair = csda_scatters(data, positive)
-    basis = solve_ratio_trace(pair, d, config.reg_lambda)
-    stats = class_statistics(data, positive=positive)
-    objective = class_specific_objective(data, positive, [basis.vectors])
-    n_params = parameter_count("csda", data.dims, d)
-    report = _single_solve_report(objective, time.perf_counter() - start, n_params)
+    vector = method in VECTOR_METHODS
+    if vector:
+        subspace = _scalar_subspace_dim(config.subspace_dims)
+        sub_dims = (subspace,)
+    else:
+        subspace = sub_dims = _tensor_subspace_dims(config.subspace_dims, data.dims)
+    if method in ("csda", "mcsda"):
+        stats, num, den = _class_specific_stacks(data, positive)
+    else:
+        if data.n_classes < 2:
+            raise ValueError(f"{method} needs at least two classes")
+        # the between-class scatter has rank at most C - 1
+        if method == "lda" and subspace > data.n_classes - 1:
+            raise ValueError(
+                f"lda subspace dimension {subspace} exceeds n_classes - 1 = "
+                f"{data.n_classes - 1}"
+            )
+        stats, num, den = _multiclass_stacks(data)
+    if vector:
+        num, den = _flatten_samples(num), _flatten_samples(den)
+    ws = _init_projections(num.shape[1:], sub_dims, config.init)
+    if vector:
+        _sweep(num, den, ws, sub_dims, config.reg_lambda)
+        objective_trace, convergence_trace, converged = [_objective(num, den, ws)], [0.0], True
+    else:
+        objective_trace, convergence_trace, converged = _alternate(
+            num, den, ws, sub_dims, config
+        )
+    report = FitReport(
+        objective_trace=objective_trace,
+        convergence_trace=convergence_trace,
+        iterations_run=len(objective_trace),
+        converged=converged,
+        wall_time_seconds=time.perf_counter() - start,
+        parameter_count=parameter_count(method, data.dims, subspace),
+    )
     return DiscriminantModel(
-        method="csda",
-        projections=[basis.vectors],
+        method=method,
+        projections=ws,
         input_dims=data.dims,
-        subspace_dims=d,
+        subspace_dims=subspace,
         reference_mean=stats.positive_mean,
         positive_class=positive,
         config=config,
         fit_report=report,
+        class_means=None if positive is not None else stats.class_means,
     )
+
+
+def fit_csda(data: LabeledDataset, positive: int, config: TrainConfig) -> DiscriminantModel:
+    """Single eigensolve of the vectorized class-specific criterion."""
+    return _fit(data, "csda", positive, config)
 
 
 def fit_lda(data: LabeledDataset, config: TrainConfig) -> DiscriminantModel:
@@ -540,104 +521,19 @@ def fit_lda(data: LabeledDataset, config: TrainConfig) -> DiscriminantModel:
     The between-class scatter has rank at most C - 1, so subspace
     dimensions beyond that are rejected.
     """
-    start = time.perf_counter()
-    d = _scalar_subspace_dim(config.subspace_dims)
-    if data.n_classes < 2:
-        raise ValueError("lda needs at least two classes")
-    if d > data.n_classes - 1:
-        raise ValueError(
-            f"lda subspace dimension {d} exceeds n_classes - 1 = "
-            f"{data.n_classes - 1}"
-        )
-    pair = lda_scatters(data)
-    basis = solve_ratio_trace(pair, d, config.reg_lambda)
-    stats = class_statistics(data)
-    objective = multiclass_objective(data, [basis.vectors])
-    n_params = parameter_count("lda", data.dims, d)
-    report = _single_solve_report(objective, time.perf_counter() - start, n_params)
-    return DiscriminantModel(
-        method="lda",
-        projections=[basis.vectors],
-        input_dims=data.dims,
-        subspace_dims=d,
-        reference_mean=None,
-        positive_class=None,
-        config=config,
-        fit_report=report,
-        class_means=stats.class_means,
-    )
+    return _fit(data, "lda", None, config)
 
 
 def fit_mcsda(data: LabeledDataset, positive: int, config: TrainConfig) -> DiscriminantModel:
     """Alternating per-mode eigensolves of the class-specific tensor
     criterion, centered on the positive class mean."""
-    start = time.perf_counter()
-    dims = data.dims
-    sub_dims = _tensor_subspace_dims(config.subspace_dims, dims)
-    stats = class_statistics(data, positive=positive)
-    pos_mask = data.labels == positive
-    if pos_mask.all():
-        raise ValueError("every sample belongs to the positive class")
-    centered = data.samples - stats.positive_mean
-    ws, objective_trace, convergence_trace, sweeps, converged = _alternating_fit(
-        centered[~pos_mask], centered[pos_mask], dims, sub_dims, config
-    )
-    report = FitReport(
-        objective_trace=objective_trace,
-        convergence_trace=convergence_trace,
-        iterations_run=sweeps,
-        converged=converged,
-        wall_time_seconds=time.perf_counter() - start,
-        parameter_count=parameter_count("mcsda", dims, sub_dims),
-    )
-    return DiscriminantModel(
-        method="mcsda",
-        projections=ws,
-        input_dims=dims,
-        subspace_dims=sub_dims,
-        reference_mean=stats.positive_mean,
-        positive_class=positive,
-        config=config,
-        fit_report=report,
-    )
+    return _fit(data, "mcsda", positive, config)
 
 
 def fit_mda(data: LabeledDataset, config: TrainConfig) -> DiscriminantModel:
     """Alternating per-mode eigensolves of the multi-class tensor
     criterion (count-weighted between vs within scatter)."""
-    start = time.perf_counter()
-    if data.n_classes < 2:
-        raise ValueError("mda needs at least two classes")
-    dims = data.dims
-    sub_dims = _tensor_subspace_dims(config.subspace_dims, dims)
-    stats = class_statistics(data)
-    shape = (-1,) + (1,) * len(dims)
-    between = (stats.class_means - stats.total_mean) * np.sqrt(
-        stats.counts
-    ).reshape(shape)
-    within = data.samples - stats.class_means[data.labels - 1]
-    ws, objective_trace, convergence_trace, sweeps, converged = _alternating_fit(
-        between, within, dims, sub_dims, config
-    )
-    report = FitReport(
-        objective_trace=objective_trace,
-        convergence_trace=convergence_trace,
-        iterations_run=sweeps,
-        converged=converged,
-        wall_time_seconds=time.perf_counter() - start,
-        parameter_count=parameter_count("mda", dims, sub_dims),
-    )
-    return DiscriminantModel(
-        method="mda",
-        projections=ws,
-        input_dims=dims,
-        subspace_dims=sub_dims,
-        reference_mean=None,
-        positive_class=None,
-        config=config,
-        fit_report=report,
-        class_means=stats.class_means,
-    )
+    return _fit(data, "mda", None, config)
 
 
 def fit_class_specific(
@@ -651,19 +547,17 @@ def fit_class_specific(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "csda":
-        return fit_csda(data, positive, config)
-    if method == "mcsda":
-        return fit_mcsda(data, positive, config)
-    stats = class_statistics(data, positive=positive)
+    if method in ("csda", "mcsda"):
+        return _fit(data, method, positive, config)
+    _check_positive(positive, data.n_classes)
     binary = LabeledDataset(
         samples=data.samples,
         labels=np.where(data.labels == positive, 1, 2),
         n_classes=2,
     )
-    model = fit_lda(binary, config) if method == "lda" else fit_mda(binary, config)
+    model = _fit(binary, method, None, config)
     model.positive_class = positive
-    model.reference_mean = stats.positive_mean
+    model.reference_mean = model.class_means[0].copy()
     return model
 
 
@@ -724,21 +618,16 @@ def parameter_count(method: str, input_dims, subspace_dims) -> int:
     """Stored projection parameters: sum of I_k * I'_k per mode for
     tensor methods, prod(I_k) * prod(I'_k) for vector methods."""
     dims = tuple(int(d) for d in input_dims)
+    if isinstance(subspace_dims, (tuple, list)):
+        sub = tuple(int(d) for d in subspace_dims)
+    else:
+        sub = (int(subspace_dims),)
     if method in TENSOR_METHODS:
-        sub = (
-            (int(subspace_dims),)
-            if not isinstance(subspace_dims, (tuple, list))
-            else tuple(int(d) for d in subspace_dims)
-        )
         if len(sub) != len(dims):
             raise ValueError(
                 f"need one subspace dimension per mode: got {sub} for dims {dims}"
             )
         return int(sum(i * j for i, j in zip(dims, sub)))
     if method in VECTOR_METHODS:
-        if isinstance(subspace_dims, (tuple, list)):
-            d = math.prod(int(x) for x in subspace_dims)
-        else:
-            d = int(subspace_dims)
-        return math.prod(dims) * d
+        return math.prod(dims) * math.prod(sub)
     raise ValueError(f"unknown method {method!r}")

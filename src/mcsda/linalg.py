@@ -3,17 +3,19 @@
 Every criterion in this package reduces to the same generalized problem:
 given a numerator scatter A and a denominator scatter B, find the top-d
 eigenpairs of A w = value * (B + ridge * I) w. The regularized
-denominator is positive definite for ridge > 0, so the pencil is solved
-by Cholesky reduction to a standard symmetric eigenproblem.
+denominator is positive definite for ridge > 0, so the pencil is a
+symmetric-definite generalized eigenproblem, solved for its top d
+eigenpairs only by one LAPACK call through ``scipy.linalg.eigh``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import eigh, get_lapack_funcs, solve_triangular
+from scipy.linalg import eigh
 
 __all__ = ["ScatterPair", "EigenBasis", "regularize", "solve_ratio_trace"]
 
@@ -71,9 +73,9 @@ def regularize(s, ridge: float) -> np.ndarray:
 def solve_ratio_trace(pair: ScatterPair, d: int, ridge: float = 0.0) -> EigenBasis:
     """Top-d eigenpairs of numerator w = value (denominator + ridge I) w.
 
-    With B = L L^T the pencil reduces to the symmetric standard problem
-    on L^-1 A L^-T; eigenvectors y map back through w = L^-T y, which
-    makes the returned columns B-orthonormal automatically.
+    LAPACK reduces the pencil through the Cholesky factor of the
+    regularized denominator and computes only the top d eigenpairs; the
+    returned columns are B-orthonormal.
 
     Raises ValueError when d is outside 1..n and LinAlgError naming the
     failing pivot when the regularized denominator is not positive
@@ -83,26 +85,22 @@ def solve_ratio_trace(pair: ScatterPair, d: int, ridge: float = 0.0) -> EigenBas
     d = int(d)
     if not 1 <= d <= n:
         raise ValueError(f"subspace dimension {d} out of range 1..{n}")
-    a = pair.numerator
     b = regularize(pair.denominator, ridge)
-    (potrf,) = get_lapack_funcs(("potrf",), (b,))
-    ell, info = potrf(b, lower=True, overwrite_a=False, clean=True)
-    if info != 0:
+    try:
+        values, vectors = eigh(pair.numerator, b, subset_by_index=[n - d, n - 1])
+    except LinAlgError as exc:
+        # scipy gives the failing Cholesky pivot as the order of the
+        # leading minor of B that is not positive definite
+        pivot = re.search(r"leading minor of order (\d+)", str(exc))
+        if pivot is None:
+            raise
         raise LinAlgError(
             "Cholesky factorization of the regularized denominator failed "
-            f"at pivot {info}; it is not positive definite"
-        )
-    # c = L^-1 A L^-T, symmetrized against roundoff before eigh
-    c = solve_triangular(ell, a, lower=True)
-    c = solve_triangular(ell, c.T, lower=True).T
-    c = 0.5 * (c + c.T)
-    values, y = eigh(c)
-    # eigh sorts ascending; flip to non-increasing and keep the top d
-    values = values[::-1][:d].copy()
-    y = y[:, ::-1][:, :d]
-    vectors = solve_triangular(ell, y, lower=True, trans="T")
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            vectors[:, j] = -col
+            f"at pivot {pivot[1]}; it is not positive definite"
+        ) from exc
+    # eigh sorts ascending; flip to non-increasing
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
+    flip = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(d)] < 0
+    vectors[:, flip] *= -1.0
     return EigenBasis(vectors=vectors, values=values)

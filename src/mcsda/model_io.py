@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ __all__ = ["save_model", "load_model"]
 
 MODEL_VERSION = 1
 MODEL_NAME = "model.json"
+# names of the matrix files save_model writes
+MATRIX_FILE = re.compile(r"W\d+\.bin|mean\.bin|class_means\.bin")
 
 
 def _write_matrix(path: Path, w: np.ndarray) -> None:
@@ -45,10 +49,12 @@ def _read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
 def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
     """Write `model` to directory `path`; refuses to overwrite unless
     `force` is set. model.json goes last so its presence marks a complete
-    directory."""
+    directory. Overwriting removes the matrix files of the previous model
+    that the new one does not list."""
     root = Path(path)
     manifest_path = root / MODEL_NAME
-    if manifest_path.exists() and not force:
+    overwriting = manifest_path.exists()
+    if overwriting and not force:
         raise FileExistsError(
             f"refusing to overwrite existing model at {root} (use force)"
         )
@@ -78,14 +84,7 @@ def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
         "projections": projections,
         "reference_mean": None,
         "class_means": None,
-        "fit_report": {
-            "objective_trace": [float(v) for v in model.fit_report.objective_trace],
-            "convergence_trace": [float(v) for v in model.fit_report.convergence_trace],
-            "iterations_run": model.fit_report.iterations_run,
-            "converged": model.fit_report.converged,
-            "wall_time_seconds": model.fit_report.wall_time_seconds,
-            "parameter_count": model.fit_report.parameter_count,
-        },
+        "fit_report": asdict(model.fit_report),
     }
     if model.reference_mean is not None:
         _write_matrix(root / "mean.bin", model.reference_mean)
@@ -99,6 +98,12 @@ def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
             "dims": list(model.input_dims),
         }
     manifest_path.write_text(json.dumps(doc, indent=2) + "\n")
+    if overwriting:
+        listed = [*projections, doc["reference_mean"], doc["class_means"]]
+        keep = {entry["file"] for entry in listed if entry is not None}
+        for stale in root.iterdir():
+            if MATRIX_FILE.fullmatch(stale.name) and stale.name not in keep:
+                stale.unlink()
 
 
 def load_model(path) -> DiscriminantModel:

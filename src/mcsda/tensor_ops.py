@@ -74,6 +74,17 @@ def mode_product(tensor, matrix, mode: int) -> np.ndarray:
     return np.moveaxis(out, 0, mode)
 
 
+def _project_stack(stack: np.ndarray, projections, skip: int | None = None) -> np.ndarray:
+    """Contract axis q + 1 of `stack`, a stack of tensors, with
+    projections[q]^T for every mode q except `skip`. Unchecked: callers
+    pass validated float64 arrays."""
+    out = stack
+    for q, w in enumerate(projections):
+        if q != skip:
+            out = np.moveaxis(np.tensordot(w.T, out, axes=(1, q + 1)), 0, q + 1)
+    return out
+
+
 def multi_project(tensor, projections) -> np.ndarray:
     """Project every mode: X times_0 W_0^T times_1 W_1^T ...
 
@@ -83,19 +94,16 @@ def multi_project(tensor, projections) -> np.ndarray:
     does not depend on the order of application.
     """
     t = np.asarray(tensor, dtype=np.float64)
-    ws = list(projections)
+    ws = [np.asarray(w, dtype=np.float64) for w in projections]
     if len(ws) != t.ndim:
         raise ValueError(
             f"expected {t.ndim} projection matrices for a {t.ndim}-mode "
             f"tensor, got {len(ws)}"
         )
-    out = t
     for k, w in enumerate(ws):
-        w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != t.shape[k]:
             raise ValueError(
                 f"projection {k} has shape {w.shape}, expected "
                 f"({t.shape[k]}, d)"
             )
-        out = mode_product(out, w.T, k)
-    return out
+    return _project_stack(t[np.newaxis], ws)[0]

@@ -185,6 +185,38 @@ def test_train_single_mode_csda_mcsda_agree(tmp_path):
     assert float(np.max(subspace_angles(w_vec, w_ten))) < 1e-6
 
 
+def test_train_nonfinite_dataset_is_runtime_error(tmp_path, capsys):
+    data = make_synth(tmp_path)
+    data_bin = data / "data.bin"
+    raw = bytearray(data_bin.read_bytes())
+    offset = 7 * 30 * 8 + 8  # second value of sample 7 (6x5 samples)
+    raw[offset : offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    data_bin.write_bytes(bytes(raw))
+    code = run(
+        "train", "--data", str(data), "--method", "csda", "--dims", "2",
+        "--positive-class", "1", "--out", str(tmp_path / "m"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "data.bin: sample 7 holds a NaN" in err
+    assert "usage error" not in err
+
+
+def test_train_force_replaces_previous_model_files(tmp_path):
+    data = make_synth(tmp_path)
+    out = tmp_path / "model"
+    common = ("--data", str(data), "--positive-class", "1", "--out", str(out))
+    assert run("train", "--method", "mcsda", "--dims", "2x2", *common) == 0
+    assert (out / "W2.bin").exists()
+    assert run("train", "--method", "csda", "--dims", "3", "--force", *common) == 0
+    doc = json.loads((out / "model.json").read_text())
+    listed = {entry["file"] for entry in doc["projections"]}
+    listed.add(doc["reference_mean"]["file"])
+    files = {p.name for p in out.iterdir()}
+    assert files == listed | {"model.json", "fit_report.json"}
+    assert load_model(out).method == "csda"
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -246,3 +246,27 @@ def test_synth_spec_validation():
         SynthSpec(dims=(2,), n_classes=0, samples_per_class=3)
     with pytest.raises(ValueError, match="noise_sigma"):
         SynthSpec(dims=(2,), n_classes=2, samples_per_class=3, noise_sigma=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite samples
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_sample_rejected(bad):
+    samples = np.zeros((4, 2, 3))
+    samples[2, 1, 0] = bad
+    with pytest.raises(ValueError, match="sample 2 holds a NaN or infinite value"):
+        LabeledDataset(samples=samples, labels=np.array([1, 1, 2, 2]), n_classes=2)
+
+
+def test_load_rejects_nonfinite_sample(tmp_path, rng):
+    ds = random_dataset(rng, dims=(3, 2), n_classes=2, per_class=3)
+    save_dataset(ds, tmp_path / "d")
+    data_bin = tmp_path / "d" / "data.bin"
+    raw = bytearray(data_bin.read_bytes())
+    offset = 4 * 6 * 8  # first value of sample 4
+    raw[offset : offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    data_bin.write_bytes(bytes(raw))
+    with pytest.raises(DatasetFormatError, match=r"data\.bin: sample 4 holds a NaN"):
+        load_dataset(tmp_path / "d")

@@ -191,6 +191,26 @@ def test_mcsda_one_mode_converges_in_two_sweeps(rng):
     assert model.fit_report.convergence_trace[-1] <= 1e-5
 
 
+@pytest.mark.parametrize("method", ["lda", "csda"])
+def test_vector_fit_report_contract(rng, method):
+    # a vector fit is one joint eigensolve: one trivially converged sweep
+    # whose objective is the public objective of the returned projection
+    ds = separable(rng, dims=(4, 3), n_classes=3, per_class=10)
+    cfg = TrainConfig(subspace_dims=2, max_iter=7)
+    if method == "lda":
+        model = fit_lda(ds, cfg)
+        want = multiclass_objective(ds, model.projections)
+    else:
+        model = fit_csda(ds, 2, cfg)
+        want = class_specific_objective(ds, 2, model.projections)
+    report = model.fit_report
+    assert report.iterations_run == 1
+    assert report.converged
+    assert report.convergence_trace == [0.0]
+    assert len(report.objective_trace) == 1
+    assert report.objective_trace[-1] == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # alternating fits
 

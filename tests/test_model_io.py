@@ -182,3 +182,20 @@ def test_manifest_written_last(rng, tmp_path, monkeypatch):
     assert (tmp_path / "m" / "W1.bin").exists()
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize(
+    "first, second", [("mcsda", "csda"), ("csda", "mda"), ("mda", "mcsda")]
+)
+def test_force_overwrite_leaves_only_listed_files(rng, tmp_path, first, second):
+    root = tmp_path / "m"
+    save_model(fitted(rng, first), root)
+    model = fitted(rng, second)
+    save_model(model, root, force=True)
+    assert_models_equal(load_model(root), model)
+    doc = json.loads((root / "model.json").read_text())
+    listed = {entry["file"] for entry in doc["projections"]}
+    listed |= {doc[key]["file"] for key in ("reference_mean", "class_means") if doc[key]}
+    assert sorted(p.name for p in root.iterdir()) == sorted(listed | {"model.json"})
+    # nothing is left beside the model directory either
+    assert [p.name for p in tmp_path.iterdir()] == ["m"]
