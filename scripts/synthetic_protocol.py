@@ -21,7 +21,7 @@ from mcsda import (
     average_precision,
     fit_one_vs_rest,
     mean_average_precision,
-    similarity_score,
+    score_batch,
     stratified_split,
     summarize_folds,
     synth_generate,
@@ -39,7 +39,7 @@ def parse_fractions(text):
 def evaluate(models, test):
     aps = []
     for model in models:
-        scores = [similarity_score(model, s) for s in test.samples]
+        scores = score_batch(model, test.samples)
         aps.append(average_precision(scores, test.labels == model.positive_class))
     return mean_average_precision(aps)
 

@@ -43,6 +43,7 @@ from .discriminant import (
     multiclass_objective,
     parameter_count,
     project,
+    score_batch,
     similarity_score,
 )
 from .linalg import EigenBasis, ScatterPair, regularize, solve_ratio_trace
@@ -101,6 +102,7 @@ __all__ = [
     "fit_one_vs_rest",
     "project",
     "similarity_score",
+    "score_batch",
     "parameter_count",
     "MetricReport",
     "average_precision",

@@ -36,12 +36,12 @@ from .discriminant import (
     fit_csda,
     fit_one_vs_rest,
     parameter_count,
-    similarity_score,
+    score_batch,
 )
 from .metrics import (
+    _predict_stack,
     average_precision,
     classification_report,
-    predict_class,
     verification_report,
 )
 from .model_io import load_model, save_model
@@ -169,16 +169,24 @@ def cmd_eval(args) -> int:
                 f"model dims {tuple(model.input_dims)} do not match dataset "
                 f"dims {data.dims}"
             )
+    start = time.perf_counter()
     if args.task == "verify":
+        classes = [model.positive_class for model in models]
+        if None in classes:
+            raise RuntimeError(
+                "verification needs class-specific models (no positive class set)"
+            )
+        for c in classes:
+            if classes.count(c) > 1:
+                raise RuntimeError(
+                    f"verification needs one model per class, got "
+                    f"{classes.count(c)} models for positive class {c}"
+                )
         per_class_ap: dict[int, float] = {}
         support: dict[int, int] = {}
         for model in models:
-            if model.positive_class is None:
-                raise RuntimeError(
-                    "verification needs class-specific models (no positive class set)"
-                )
-            scores = [similarity_score(model, s) for s in data.samples]
             flags = data.labels == model.positive_class
+            scores = score_batch(model, data.samples)
             per_class_ap[model.positive_class] = average_precision(scores, flags)
             support[model.positive_class] = int(flags.sum())
         report = verification_report(per_class_ap, support)
@@ -189,8 +197,17 @@ def cmd_eval(args) -> int:
                 f"classification needs one model per class 1..{data.n_classes}, "
                 f"got positive classes {covered}"
             )
-        preds = [predict_class(models, s) for s in data.samples]
+        preds = _predict_stack(models, data.samples)
         report = classification_report(data.labels, preds, data.n_classes)
+    seconds = time.perf_counter() - start
+    n_scores = len(models) * data.count
+    logger.info(
+        "eval %s: %d scores in %.4f s (%.0f scores/s)",
+        args.task,
+        n_scores,
+        seconds,
+        n_scores / seconds if seconds > 0 else math.inf,
+    )
     doc = report.to_json_dict()
     text = json.dumps(doc, indent=2)
     report_path = Path(args.report)
@@ -202,7 +219,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     """Time the vectorized against the multilinear class-specific fit on
-    one synthetic dataset and report wall times plus the model-size gap."""
+    one synthetic dataset and report wall times, the model-size gap and
+    the scoring throughput of each fitted model."""
     dims = args.dims
     sub = args.subspace
     if len(sub) != len(dims):
@@ -237,18 +255,25 @@ def cmd_bench(args) -> int:
         eps=args.eps,
     )
 
-    def best_of(fn) -> float:
+    def best_of(fn):
+        """Best wall time over the repeats, and the last fitted model."""
         times = []
         for _ in range(args.repeats):
             start = time.perf_counter()
-            fn()
+            model = fn()
             times.append(time.perf_counter() - start)
-        return min(times)
+        return min(times), model
 
-    csda_seconds = best_of(lambda: fit_csda(data, 1, vec_cfg))
-    mcsda_model = fit_mcsda(data, 1, ten_cfg)
-    mcsda_seconds = best_of(lambda: fit_mcsda(data, 1, ten_cfg))
+    def scores_per_s(model) -> float:
+        start = time.perf_counter()
+        score_batch(model, data.samples)
+        return data.count / (time.perf_counter() - start)
+
+    csda_seconds, csda_model = best_of(lambda: fit_csda(data, 1, vec_cfg))
+    mcsda_seconds, mcsda_model = best_of(lambda: fit_mcsda(data, 1, ten_cfg))
     ratio = csda_seconds / mcsda_seconds
+    csda_scores_per_s = scores_per_s(csda_model)
+    mcsda_scores_per_s = scores_per_s(mcsda_model)
 
     # dominant-term cost model: one eigensolve at prod(dims) for the
     # vectorized fit vs max_iter sweeps of per-mode solves
@@ -272,6 +297,8 @@ def cmd_bench(args) -> int:
         "mcsda_iterations_run": mcsda_model.fit_report.iterations_run,
         "parameter_count_csda": parameter_count("csda", dims, d_vector),
         "parameter_count_mcsda": parameter_count("mcsda", dims, sub),
+        "csda_scores_per_s": csda_scores_per_s,
+        "mcsda_scores_per_s": mcsda_scores_per_s,
     }
     if args.report:
         Path(args.report).write_text(json.dumps(result, indent=2) + "\n")
@@ -284,6 +311,10 @@ def cmd_bench(args) -> int:
     print(
         f"parameters: csda {result['parameter_count_csda']}, "
         f"mcsda {result['parameter_count_mcsda']}"
+    )
+    print(
+        f"scoring: csda {csda_scores_per_s:.0f} scores/s, "
+        f"mcsda {mcsda_scores_per_s:.0f} scores/s"
     )
     return 0
 

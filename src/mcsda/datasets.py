@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -252,16 +253,19 @@ def load_dataset(path) -> LabeledDataset:
     data_path = root / manifest.data_file
     if not data_path.exists():
         raise FileNotFoundError(f"missing data file {data_path}")
-    raw = data_path.read_bytes()
-    expected = manifest.count * math.prod(manifest.dims) * 8
-    if len(raw) != expected:
-        raise DatasetFormatError(
-            f"{data_path}: size mismatch: expected {expected} bytes, "
-            f"found {len(raw)}"
-        )
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    values = manifest.count * math.prod(manifest.dims)
+    with open(data_path, "rb") as fh:
+        # check the size before reading; fromfile then reads straight
+        # into the array, with no bytes object beside it
+        found = os.fstat(fh.fileno()).st_size
+        if found != values * 8:
+            raise DatasetFormatError(
+                f"{data_path}: size mismatch: expected {values * 8} bytes, "
+                f"found {found}"
+            )
+        flat = np.fromfile(fh, dtype="<f8", count=values)
     stacked = flat.reshape(manifest.dims + (manifest.count,), order="F")
-    samples = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
+    samples = np.ascontiguousarray(np.moveaxis(stacked, -1, 0), dtype=np.float64)
     labels = _read_labels(root / manifest.label_file, manifest.count, manifest.n_classes)
     try:
         return LabeledDataset(samples=samples, labels=labels, n_classes=manifest.n_classes)

@@ -14,6 +14,9 @@ class from everything else and center every scatter on the positive
 class mean; the multi-class criteria (``lda``, ``mda``) use between- and
 within-class scatters over all classes. Trained models score a sample by
 inverse distance to the projected reference mean, 1 / (1 + d).
+``score_batch`` is the one scoring routine: it projects a whole
+(N, *dims) stack and the reference mean once each. ``similarity_score``
+and ``project`` are its one-sample forms.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from numpy.linalg import LinAlgError
 
 from .datasets import LabeledDataset
 from .linalg import ScatterPair, solve_ratio_trace
-from .tensor_ops import _project_stack, multi_project
+from .tensor_ops import _project_stack
 
 __all__ = [
     "VECTOR_METHODS",
@@ -55,6 +58,7 @@ __all__ = [
     "fit_one_vs_rest",
     "project",
     "similarity_score",
+    "score_batch",
     "parameter_count",
 ]
 
@@ -584,6 +588,28 @@ def fit_one_vs_rest(
 # scoring
 
 
+def _project(model: DiscriminantModel, stack: np.ndarray) -> np.ndarray:
+    """Project a validated float64 (N, *input_dims) stack: (N, d) rows
+    for vector methods, (N, *subspace_dims) tensors for tensor methods.
+
+    The vector projection contracts the stack against W viewed in the
+    sample layout, which equals W^T applied to each sample's Fortran
+    flattening without copying the stack."""
+    if model.method in VECTOR_METHODS:
+        w = model.projections[0]
+        dims = stack.shape[1:]
+        return np.tensordot(stack, w.reshape(dims + (-1,), order="F"), axes=len(dims))
+    return _project_stack(stack, model.projections)
+
+
+def _check_input_dims(model: DiscriminantModel, shape) -> None:
+    if tuple(shape) != tuple(model.input_dims):
+        raise ValueError(
+            f"sample shape {tuple(shape)} does not match model input dims "
+            f"{tuple(model.input_dims)}"
+        )
+
+
 def project(model: DiscriminantModel, sample) -> np.ndarray:
     """Project one sample into the model's subspace.
 
@@ -591,27 +617,36 @@ def project(model: DiscriminantModel, sample) -> np.ndarray:
     storage layout); tensor methods apply the per-mode matrices.
     """
     s = np.asarray(sample, dtype=np.float64)
-    if s.shape != tuple(model.input_dims):
-        raise ValueError(
-            f"sample shape {s.shape} does not match model input dims "
-            f"{tuple(model.input_dims)}"
-        )
-    if model.method in VECTOR_METHODS:
-        return model.projections[0].T @ s.ravel(order="F")
-    return multi_project(s, model.projections)
+    _check_input_dims(model, s.shape)
+    return _project(model, s[np.newaxis])[0]
 
 
-def similarity_score(model: DiscriminantModel, sample) -> float:
-    """Inverse-distance similarity 1 / (1 + d), where d is the Frobenius
-    distance between the projected sample and the projected reference
-    mean. Monotone decreasing in d, equal to 1 only at d = 0."""
+def score_batch(model: DiscriminantModel, samples) -> np.ndarray:
+    """Similarity scores of a (N, *input_dims) stack, one per sample.
+
+    Each score is 1 / (1 + d), where d is the Frobenius distance between
+    the projected sample and the projected reference mean. The stack and
+    the reference mean are each projected once.
+    """
     if model.reference_mean is None:
         raise RuntimeError(
             "model has no reference mean; train class-specifically or "
             "one-vs-rest to enable scoring"
         )
-    diff = project(model, sample) - project(model, model.reference_mean)
-    return 1.0 / (1.0 + float(np.linalg.norm(diff)))
+    reference = np.asarray(model.reference_mean, dtype=np.float64)
+    stack = np.asarray(samples, dtype=np.float64)
+    _check_input_dims(model, reference.shape)
+    _check_input_dims(model, stack.shape[1:])
+    diff = _project(model, stack) - _project(model, reference[np.newaxis])
+    rows = diff.reshape(stack.shape[0], math.prod(diff.shape[1:]))
+    return 1.0 / (1.0 + np.linalg.norm(rows, axis=1))
+
+
+def similarity_score(model: DiscriminantModel, sample) -> float:
+    """Inverse-distance similarity 1 / (1 + d) of one sample, as in
+    :func:`score_batch`. Monotone decreasing in d, equal to 1 only at
+    d = 0."""
+    return float(score_batch(model, np.asarray(sample)[np.newaxis])[0])
 
 
 def parameter_count(method: str, input_dims, subspace_dims) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discriminant import DiscriminantModel, similarity_score
+from .discriminant import DiscriminantModel, score_batch
 
 __all__ = [
     "MetricReport",
@@ -175,23 +175,24 @@ def verification_report(
     )
 
 
+def _predict_stack(models: list[DiscriminantModel], samples) -> np.ndarray:
+    """Predicted class of every sample of a (N, *dims) stack: the first
+    maximum of the (models x samples) score matrix, with the models
+    sorted by class id, so ties go to the lowest class id."""
+    if not models:
+        raise ValueError("need at least one model")
+    if any(model.positive_class is None for model in models):
+        raise ValueError("every one-vs-rest model needs a positive_class")
+    ordered = sorted(models, key=lambda m: m.positive_class)
+    scores = np.stack([score_batch(model, samples) for model in ordered])
+    classes = np.array([model.positive_class for model in ordered], dtype=np.int64)
+    return classes[np.argmax(scores, axis=0)]
+
+
 def predict_class(models: list[DiscriminantModel], sample) -> int:
     """Class of the highest-scoring one-vs-rest model; ties go to the
     lowest class id regardless of input order."""
-    if not models:
-        raise ValueError("need at least one model")
-    best_class = None
-    best_score = -np.inf
-    for model in models:
-        if model.positive_class is None:
-            raise ValueError("every one-vs-rest model needs a positive_class")
-        score = similarity_score(model, sample)
-        if score > best_score or (
-            score == best_score and model.positive_class < best_class
-        ):
-            best_score = score
-            best_class = model.positive_class
-    return int(best_class)
+    return int(_predict_stack(models, np.asarray(sample)[np.newaxis])[0])
 
 
 def summarize_folds(values) -> dict[str, float]:

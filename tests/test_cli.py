@@ -2,6 +2,8 @@
 codes, and the files they leave behind."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -420,3 +422,88 @@ def test_log_level_env(monkeypatch):
     assert _log_level() == logging.WARNING
     monkeypatch.delenv("MCSDA_LOG_LEVEL")
     assert _log_level() == logging.WARNING
+
+
+# ---------------------------------------------------------------------------
+# batched eval: duplicate classes, ties, throughput
+
+
+def save_hand_model(path, reference, positive_class):
+    model = DiscriminantModel(
+        method="csda",
+        projections=[np.eye(2)],
+        input_dims=(2,),
+        subspace_dims=2,
+        reference_mean=np.asarray(reference, dtype=float),
+        positive_class=positive_class,
+        config=TrainConfig(subspace_dims=2),
+        fit_report=FitReport([0.0], [0.0], 1, True, 0.0, 4),
+    )
+    save_model(model, path)
+    return path
+
+
+def test_eval_verify_rejects_duplicate_positive_class(tmp_path, capsys):
+    data = make_synth(tmp_path)
+    models = train_ovr(tmp_path, data)
+    spec = ",".join(str(models / f"class_{c}") for c in (1, 2, 2))
+    code = run(
+        "eval", "--models", spec, "--data", str(data),
+        "--task", "verify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    assert "2 models for positive class 2" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_classify_ties_go_to_lowest_class(tmp_path):
+    # classes 2 and 3 share one reference, so their scores tie on every
+    # sample; the dirs are listed in reverse class order
+    ds = LabeledDataset(
+        samples=np.array([[10.0, 0.0], [0.1, 0.0], [0.0, 0.1]]),
+        labels=np.array([1, 2, 3]),
+        n_classes=3,
+    )
+    data_dir = tmp_path / "tie_data"
+    save_dataset(ds, data_dir)
+    refs = {1: [10.0, 0.0], 2: [0.0, 0.0], 3: [0.0, 0.0]}
+    dirs = [save_hand_model(tmp_path / f"m{c}", refs[c], c) for c in (3, 2, 1)]
+    report_path = tmp_path / "r.json"
+    code = run(
+        "eval", "--models", ",".join(map(str, dirs)), "--data", str(data_dir),
+        "--task", "classify", "--report", str(report_path),
+    )
+    assert code == 0
+    stored = json.loads(report_path.read_text())
+    assert stored["confusion"] == [[1, 0, 0], [0, 1, 0], [0, 1, 0]]
+
+
+def test_eval_logs_throughput_outside_report(tmp_path, caplog):
+    data = make_synth(tmp_path)
+    models = train_ovr(tmp_path, data)
+    caplog.set_level(logging.INFO, logger="mcsda.cli")
+    for task in ("verify", "classify"):
+        report_path = tmp_path / f"{task}.json"
+        code = run(
+            "eval", "--models", str(models), "--data", str(data),
+            "--task", task, "--report", str(report_path),
+        )
+        assert code == 0
+        assert re.search(
+            rf"eval {task}: 90 scores in \S+ s \(\S+ scores/s\)", caplog.text
+        )
+        assert "scores/s" not in report_path.read_text()
+
+
+def test_bench_reports_scoring_throughput(tmp_path, capsys):
+    report_path = tmp_path / "bench.json"
+    code = run(
+        "bench", "--dims", "8x6", "--subspace", "2x2", "--n", "24",
+        "--repeats", "1", "--max-iter", "3", "--report", str(report_path),
+    )
+    assert code == 0
+    assert "scores/s" in capsys.readouterr().out
+    stored = json.loads(report_path.read_text())
+    assert stored["csda_scores_per_s"] > 0
+    assert stored["mcsda_scores_per_s"] > 0
+    assert "predicted_ratio" in stored

@@ -1,6 +1,7 @@
 """Dataset container, file format, splits and synthetic generation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ def test_truncated_data_bin(tmp_path, rng):
     with pytest.raises(DatasetFormatError, match="expected 192 bytes, found 184"):
         load_dataset(tmp_path / "ds")
 
+
+def test_load_holds_at_most_two_sample_copies(tmp_path, rng):
+    # the file is read straight into one array, then reordered into the
+    # sample-major stack: no bytes object and float copy beside them
+    ds = random_dataset(rng, dims=(20, 15), n_classes=4, per_class=100)
+    save_dataset(ds, tmp_path / "ds")
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.samples, ds.samples)
+    assert peak < 2.5 * ds.samples.nbytes
 
 def test_missing_files(tmp_path, rng):
     with pytest.raises(FileNotFoundError, match="manifest.json"):
