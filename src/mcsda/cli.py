@@ -169,13 +169,13 @@ def cmd_eval(args) -> int:
                 f"model dims {tuple(model.input_dims)} do not match dataset "
                 f"dims {data.dims}"
             )
+    classes = [model.positive_class for model in models]
+    if None in classes:
+        raise RuntimeError(
+            f"{args.task} needs class-specific models (no positive class set)"
+        )
     start = time.perf_counter()
     if args.task == "verify":
-        classes = [model.positive_class for model in models]
-        if None in classes:
-            raise RuntimeError(
-                "verification needs class-specific models (no positive class set)"
-            )
         for c in classes:
             if classes.count(c) > 1:
                 raise RuntimeError(
@@ -191,11 +191,10 @@ def cmd_eval(args) -> int:
             support[model.positive_class] = int(flags.sum())
         report = verification_report(per_class_ap, support)
     else:
-        covered = sorted(m.positive_class for m in models)
-        if covered != list(range(1, data.n_classes + 1)):
+        if classes != list(range(1, data.n_classes + 1)):
             raise RuntimeError(
                 f"classification needs one model per class 1..{data.n_classes}, "
-                f"got positive classes {covered}"
+                f"got positive classes {classes}"
             )
         preds = _predict_stack(models, data.samples)
         report = classification_report(data.labels, preds, data.n_classes)

@@ -8,6 +8,11 @@ On disk a dataset is a directory holding three files:
   flattened with the first index varying fastest (Fortran order).
 * ``labels.csv``: one integer class id per line, 1-based.
 
+Every ``.bin`` array and JSON manifest, of datasets and models alike,
+goes through the one codec here: ``_write_array``, ``_read_array``
+(size-checked before reading) and ``_read_json`` (version-checked). A
+stack such as ``data.bin`` is one array with the count as its last axis.
+
 All randomness (splits, synthetic data) goes through numpy's default
 PCG64 ``Generator`` seeded explicitly, so results are reproducible from
 the seed alone.
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -103,15 +108,7 @@ class DatasetManifest:
     label_file: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "dims": list(self.dims),
-            "count": self.count,
-            "n_classes": self.n_classes,
-            "dtype": self.dtype,
-            "data_file": self.data_file,
-            "label_file": self.label_file,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -150,9 +147,41 @@ class SynthSpec:
         object.__setattr__(self, "dims", dims)
 
 
-def _flat_fortran(samples: np.ndarray) -> np.ndarray:
-    """Concatenate per-sample Fortran-order flattenings of (N, *dims)."""
-    return np.moveaxis(samples, 0, -1).ravel(order="F")
+def _write_array(path: Path, array: np.ndarray) -> None:
+    """Write `array` as little-endian float64, first index fastest."""
+    np.asarray(array, dtype="<f8").ravel(order="F").tofile(path)
+
+
+def _read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """Read an array of `shape` written by :func:`_write_array`, checking
+    the file size first; ``fromfile`` then reads straight into it."""
+    if not path.exists():
+        raise FileNotFoundError(f"missing file {path}")
+    expected = 8 * math.prod(shape)
+    with open(path, "rb") as fh:
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise DatasetFormatError(
+                f"{path}: size mismatch: expected {expected} bytes, found {found}"
+            )
+        flat = np.fromfile(fh, dtype="<f8", count=expected // 8)
+    return flat.reshape(shape, order="F")
+
+
+def _read_json(path: Path, version: int) -> dict:
+    """Load the JSON manifest at `path` and check its format version."""
+    if not path.exists():
+        raise FileNotFoundError(f"{path.parent}: missing {path.name}")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
+    found = doc.get("version") if isinstance(doc, dict) else None
+    if found != version:
+        raise DatasetFormatError(
+            f"{path}: unsupported version {found!r}, expected {version}"
+        )
+    return doc
 
 
 def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetManifest:
@@ -160,14 +189,17 @@ def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetMani
 
     Refuses to overwrite an existing dataset unless `force` is set. The
     manifest is written last so a complete manifest marks a complete
-    directory.
+    directory; a forced overwrite removes the old manifest first, so an
+    interrupted one leaves no loadable mix of old and new files.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
-    if manifest_path.exists() and not force:
-        raise FileExistsError(
-            f"refusing to overwrite existing dataset at {root} (use force)"
-        )
+    if manifest_path.exists():
+        if not force:
+            raise FileExistsError(
+                f"refusing to overwrite existing dataset at {root} (use force)"
+            )
+        manifest_path.unlink()
     root.mkdir(parents=True, exist_ok=True)
     manifest = DatasetManifest(
         version=MANIFEST_VERSION,
@@ -178,30 +210,18 @@ def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetMani
         data_file="data.bin",
         label_file="labels.csv",
     )
-    raw = _flat_fortran(data.samples).astype("<f8", copy=False)
-    (root / manifest.data_file).write_bytes(raw.tobytes())
-    lines = "\n".join(str(int(label)) for label in data.labels)
-    (root / manifest.label_file).write_text(lines + "\n" if lines else "")
+    _write_array(root / manifest.data_file, np.moveaxis(data.samples, 0, -1))
+    (root / manifest.label_file).write_text("".join(f"{int(c)}\n" for c in data.labels))
     manifest_path.write_text(json.dumps(manifest.to_json_dict(), indent=2) + "\n")
     return manifest
 
 
 def _read_manifest(root: Path) -> DatasetManifest:
     manifest_path = root / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"{root}: missing {MANIFEST_NAME}")
-    try:
-        doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    for key in ("version", "dims", "count", "n_classes", "dtype", "data_file", "label_file"):
+    doc = _read_json(manifest_path, MANIFEST_VERSION)
+    for key in ("dims", "count", "n_classes", "dtype", "data_file", "label_file"):
         if key not in doc:
             raise DatasetFormatError(f"{manifest_path}: missing key {key!r}")
-    if doc["version"] != MANIFEST_VERSION:
-        raise DatasetFormatError(
-            f"{manifest_path}: unsupported version {doc['version']!r}, "
-            f"expected {MANIFEST_VERSION}"
-        )
     if doc["dtype"] != DTYPE_TAG:
         raise DatasetFormatError(
             f"{manifest_path}: unsupported dtype tag {doc['dtype']!r}, "
@@ -251,21 +271,8 @@ def load_dataset(path) -> LabeledDataset:
     root = Path(path)
     manifest = _read_manifest(root)
     data_path = root / manifest.data_file
-    if not data_path.exists():
-        raise FileNotFoundError(f"missing data file {data_path}")
-    values = manifest.count * math.prod(manifest.dims)
-    with open(data_path, "rb") as fh:
-        # check the size before reading; fromfile then reads straight
-        # into the array, with no bytes object beside it
-        found = os.fstat(fh.fileno()).st_size
-        if found != values * 8:
-            raise DatasetFormatError(
-                f"{data_path}: size mismatch: expected {values * 8} bytes, "
-                f"found {found}"
-            )
-        flat = np.fromfile(fh, dtype="<f8", count=values)
-    stacked = flat.reshape(manifest.dims + (manifest.count,), order="F")
-    samples = np.ascontiguousarray(np.moveaxis(stacked, -1, 0), dtype=np.float64)
+    stacked = _read_array(data_path, manifest.dims + (manifest.count,))
+    samples = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
     labels = _read_labels(root / manifest.label_file, manifest.count, manifest.n_classes)
     try:
         return LabeledDataset(samples=samples, labels=labels, n_classes=manifest.n_classes)

@@ -5,20 +5,22 @@ A saved model is a directory holding ``model.json`` and one
 column-major as little-endian float64 with its shape recorded in the
 manifest. Class-specific models additionally store the reference mean as
 ``mean.bin``; multi-class lda/mda store all class means as
-``class_means.bin``. Round trips are bit exact.
+``class_means.bin``, one stack with the class as its last axis. Every
+file goes through the codec of :mod:`mcsda.datasets`, so a missing or
+truncated matrix file and a malformed ``model.json`` fail the same way
+a bad dataset does. Round trips are bit exact.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import DatasetFormatError
+from .datasets import DatasetFormatError, _read_array, _read_json, _write_array
 from .discriminant import METHODS, DiscriminantModel, FitReport, TrainConfig
 
 __all__ = ["save_model", "load_model"]
@@ -29,41 +31,26 @@ MODEL_NAME = "model.json"
 MATRIX_FILE = re.compile(r"W\d+\.bin|mean\.bin|class_means\.bin")
 
 
-def _write_matrix(path: Path, w: np.ndarray) -> None:
-    path.write_bytes(w.ravel(order="F").astype("<f8", copy=False).tobytes())
-
-
-def _read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    if not path.exists():
-        raise FileNotFoundError(f"missing model file {path}")
-    raw = path.read_bytes()
-    expected = math.prod(shape) * 8
-    if len(raw) != expected:
-        raise DatasetFormatError(
-            f"{path}: size mismatch: expected {expected} bytes, found {len(raw)}"
-        )
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return flat.reshape(shape, order="F")
-
-
 def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
     """Write `model` to directory `path`; refuses to overwrite unless
     `force` is set. model.json goes last so its presence marks a complete
-    directory. Overwriting removes the matrix files of the previous model
-    that the new one does not list."""
+    directory; a forced overwrite removes the old model.json first, so an
+    interrupted one leaves no loadable mix of old and new matrices. The
+    save then removes the matrix files that the new model.json does not
+    list."""
     root = Path(path)
     manifest_path = root / MODEL_NAME
-    overwriting = manifest_path.exists()
-    if overwriting and not force:
-        raise FileExistsError(
-            f"refusing to overwrite existing model at {root} (use force)"
-        )
+    if manifest_path.exists():
+        if not force:
+            raise FileExistsError(
+                f"refusing to overwrite existing model at {root} (use force)"
+            )
+        manifest_path.unlink()
     root.mkdir(parents=True, exist_ok=True)
     projections = []
     for k, w in enumerate(model.projections, start=1):
-        w = np.asarray(w, dtype=np.float64)
         name = f"W{k}.bin"
-        _write_matrix(root / name, w)
+        _write_array(root / name, w)
         projections.append({"file": name, "rows": w.shape[0], "cols": w.shape[1]})
     doc = {
         "version": MODEL_VERSION,
@@ -87,80 +74,65 @@ def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
         "fit_report": asdict(model.fit_report),
     }
     if model.reference_mean is not None:
-        _write_matrix(root / "mean.bin", model.reference_mean)
+        _write_array(root / "mean.bin", model.reference_mean)
         doc["reference_mean"] = {"file": "mean.bin", "dims": list(model.input_dims)}
     if model.class_means is not None:
-        means = np.asarray(model.class_means, dtype=np.float64)
-        _write_matrix(root / "class_means.bin", np.moveaxis(means, 0, -1))
+        _write_array(root / "class_means.bin", np.moveaxis(model.class_means, 0, -1))
         doc["class_means"] = {
             "file": "class_means.bin",
-            "count": means.shape[0],
+            "count": len(model.class_means),
             "dims": list(model.input_dims),
         }
     manifest_path.write_text(json.dumps(doc, indent=2) + "\n")
-    if overwriting:
-        listed = [*projections, doc["reference_mean"], doc["class_means"]]
-        keep = {entry["file"] for entry in listed if entry is not None}
-        for stale in root.iterdir():
-            if MATRIX_FILE.fullmatch(stale.name) and stale.name not in keep:
-                stale.unlink()
+    listed = [*projections, doc["reference_mean"], doc["class_means"]]
+    keep = {entry["file"] for entry in listed if entry is not None}
+    for stale in root.iterdir():
+        if MATRIX_FILE.fullmatch(stale.name) and stale.name not in keep:
+            stale.unlink()
 
 
 def load_model(path) -> DiscriminantModel:
     """Load a model directory written by :func:`save_model`."""
     root = Path(path)
     manifest_path = root / MODEL_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"{root}: missing {MODEL_NAME}")
-    try:
-        doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    if doc.get("version") != MODEL_VERSION:
-        raise DatasetFormatError(
-            f"{manifest_path}: unsupported version {doc.get('version')!r}, "
-            f"expected {MODEL_VERSION}"
-        )
+    doc = _read_json(manifest_path, MODEL_VERSION)
     method = doc.get("method")
     if method not in METHODS:
         raise DatasetFormatError(f"{manifest_path}: unknown method {method!r}")
-    input_dims = tuple(int(d) for d in doc["input_dims"])
-    raw_sub = doc["subspace_dims"]
-    subspace_dims = (
-        tuple(int(d) for d in raw_sub) if isinstance(raw_sub, list) else int(raw_sub)
-    )
-    projections = [
-        _read_array(root / entry["file"], (int(entry["rows"]), int(entry["cols"])))
-        for entry in doc["projections"]
-    ]
-    reference_mean = None
-    if doc.get("reference_mean") is not None:
-        entry = doc["reference_mean"]
-        dims = tuple(int(d) for d in entry["dims"])
-        reference_mean = _read_array(root / entry["file"], dims)
-    class_means = None
-    if doc.get("class_means") is not None:
-        entry = doc["class_means"]
-        dims = tuple(int(d) for d in entry["dims"])
-        stacked = _read_array(root / entry["file"], dims + (int(entry["count"]),))
-        class_means = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
-    config = TrainConfig(
-        subspace_dims=subspace_dims,
-        reg_lambda=float(doc["lambda"]),
-        max_iter=int(doc["max_iter"]),
-        eps=float(doc["eps"]),
-        init=str(doc["init"]),
-        seed=int(doc["seed"]),
-    )
-    rep = doc["fit_report"]
-    report = FitReport(
-        objective_trace=[float(v) for v in rep["objective_trace"]],
-        convergence_trace=[float(v) for v in rep["convergence_trace"]],
-        iterations_run=int(rep["iterations_run"]),
-        converged=bool(rep["converged"]),
-        wall_time_seconds=float(rep["wall_time_seconds"]),
-        parameter_count=int(rep["parameter_count"]),
-    )
+    try:
+        input_dims = tuple(int(d) for d in doc["input_dims"])
+        raw_sub = doc["subspace_dims"]
+        subspace_dims = (
+            tuple(int(d) for d in raw_sub) if isinstance(raw_sub, list) else int(raw_sub)
+        )
+        projections = [
+            _read_array(root / e["file"], (int(e["rows"]), int(e["cols"])))
+            for e in doc["projections"]
+        ]
+        reference_mean = None
+        if doc.get("reference_mean") is not None:
+            entry = doc["reference_mean"]
+            dims = tuple(int(d) for d in entry["dims"])
+            reference_mean = _read_array(root / entry["file"], dims)
+        class_means = None
+        if doc.get("class_means") is not None:
+            entry = doc["class_means"]
+            dims = tuple(int(d) for d in entry["dims"])
+            stacked = _read_array(root / entry["file"], dims + (int(entry["count"]),))
+            class_means = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
+        config = TrainConfig(
+            subspace_dims=subspace_dims,
+            reg_lambda=float(doc["lambda"]),
+            max_iter=int(doc["max_iter"]),
+            eps=float(doc["eps"]),
+            init=str(doc["init"]),
+            seed=int(doc["seed"]),
+        )
+        report = FitReport(**doc["fit_report"])
+    except (KeyError, TypeError) as exc:
+        raise DatasetFormatError(
+            f"{manifest_path}: missing or malformed entry: {exc}"
+        ) from exc
     positive = doc.get("positive_class")
     return DiscriminantModel(
         method=method,

@@ -353,6 +353,41 @@ def test_eval_verify_needs_class_specific_models(tmp_path, capsys):
     assert "class-specific" in capsys.readouterr().err
 
 
+def test_eval_classify_needs_class_specific_models(tmp_path, capsys):
+    # a multi-class model among class-specific ones has no positive class
+    data = make_synth(tmp_path)
+    plain = tmp_path / "plain_lda"
+    assert run(
+        "train", "--data", str(data), "--method", "lda", "--dims", "2",
+        "--out", str(plain),
+    ) == 0
+    models = train_ovr(tmp_path, data, method="csda", dims="2")
+    code = run(
+        "eval", "--models", f"{plain},{models}", "--data", str(data),
+        "--task", "classify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    assert "class-specific" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_malformed_model_json_is_runtime_error(tmp_path, capsys):
+    data = make_synth(tmp_path)
+    models = train_ovr(tmp_path, data)
+    manifest = models / "class_2" / "model.json"
+    doc = json.loads(manifest.read_text())
+    del doc["input_dims"]
+    manifest.write_text(json.dumps(doc))
+    code = run(
+        "eval", "--models", str(models), "--data", str(data),
+        "--task", "verify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "model.json" in err and "input_dims" in err
+
+
 def test_eval_missing_models_dir(tmp_path, capsys):
     data = make_synth(tmp_path)
     code = run(

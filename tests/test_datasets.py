@@ -285,3 +285,25 @@ def test_load_rejects_nonfinite_sample(tmp_path, rng):
     data_bin.write_bytes(bytes(raw))
     with pytest.raises(DatasetFormatError, match=r"data\.bin: sample 4 holds a NaN"):
         load_dataset(tmp_path / "d")
+
+
+def test_interrupted_force_overwrite_is_not_loadable(tmp_path, rng, monkeypatch):
+    # the new data.bin is written, then the save dies before labels.csv:
+    # the old manifest must not survive to pair it with the old labels
+    import mcsda.datasets as dsmod
+
+    old = random_dataset(rng, dims=(2, 3), n_classes=2, per_class=2)
+    save_dataset(old, tmp_path / "ds")
+    real_write = dsmod._write_array
+
+    def write_then_fail(path, array):
+        real_write(path, array)
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(dsmod, "_write_array", write_then_fail)
+    new = random_dataset(rng, dims=(2, 3), n_classes=2, per_class=2)
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_dataset(new, tmp_path / "ds", force=True)
+    monkeypatch.undo()
+    with pytest.raises(FileNotFoundError, match="manifest.json"):
+        load_dataset(tmp_path / "ds")

@@ -199,3 +199,48 @@ def test_force_overwrite_leaves_only_listed_files(rng, tmp_path, first, second):
     assert sorted(p.name for p in root.iterdir()) == sorted(listed | {"model.json"})
     # nothing is left beside the model directory either
     assert [p.name for p in tmp_path.iterdir()] == ["m"]
+
+
+def test_interrupted_force_overwrite_is_not_loadable(rng, tmp_path, monkeypatch):
+    # old and new models have the same W shapes, so a manifest left over
+    # from the old model would load the new W1.bin beside the old W2.bin
+    import mcsda.model_io as mio
+
+    root = tmp_path / "m"
+    save_model(fitted(rng, "mcsda"), root)
+    real_write = mio._write_array
+    calls = []
+
+    def fail_second(path, array):
+        calls.append(path.name)
+        if len(calls) == 2:
+            raise RuntimeError("disk full")
+        real_write(path, array)
+
+    monkeypatch.setattr(mio, "_write_array", fail_second)
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_model(fitted(rng, "mcsda"), root, force=True)
+    monkeypatch.undo()
+    assert calls == ["W1.bin", "W2.bin"]
+    with pytest.raises(FileNotFoundError, match="model.json"):
+        load_model(root)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda doc: doc.pop("input_dims"),
+        lambda doc: doc["fit_report"].pop("converged"),
+        lambda doc: doc["projections"][0].pop("rows"),
+    ],
+    ids=["input_dims", "fit_report_field", "projection_rows"],
+)
+def test_malformed_manifest_names_the_file(rng, tmp_path, damage):
+    model = fitted(rng, "mcsda")
+    save_model(model, tmp_path / "m")
+    manifest = tmp_path / "m" / "model.json"
+    doc = json.loads(manifest.read_text())
+    damage(doc)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match="model.json: missing or malformed"):
+        load_model(tmp_path / "m")
