@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,7 @@ from .discriminant import (
     METHODS,
     VECTOR_METHODS,
     TrainConfig,
-    fit_class_specific,
-    fit_lda,
-    fit_mda,
+    _fit,
     fit_mcsda,
     fit_csda,
     fit_one_vs_rest,
@@ -64,21 +62,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _subspace_for(method: str, dims: tuple[int, ...]):
-    """Map the --dims flag onto the method's subspace_dims convention."""
-    if method in VECTOR_METHODS:
-        if len(dims) != 1:
-            raise ValueError(
-                f"{method} takes a scalar subspace dimension, got "
-                f"{'x'.join(str(d) for d in dims)}"
-            )
-        return dims[0]
-    return dims
-
-
 def _train_config(args, method: str) -> TrainConfig:
+    """The --dims flag is per mode, or one scalar for vector methods."""
+    vector = method in VECTOR_METHODS
+    if vector and len(args.dims) != 1:
+        raise ValueError(
+            f"{method} takes a scalar subspace dimension, got {'x'.join(map(str, args.dims))}"
+        )
     return TrainConfig(
-        subspace_dims=_subspace_for(method, args.dims),
+        subspace_dims=args.dims[0] if vector else args.dims,
         reg_lambda=args.reg_lambda,
         max_iter=args.max_iter,
         eps=args.eps,
@@ -113,21 +105,12 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     if args.one_vs_rest:
         models = fit_one_vs_rest(data, method, config, n_jobs=args.jobs)
-        for model in models:
-            save_model(model, out / f"class_{model.positive_class}", force=args.force)
-        entries = [_fit_report_entry(m) for m in models]
-    elif args.positive_class is not None:
-        model = fit_class_specific(data, method, args.positive_class, config)
-        save_model(model, out, force=args.force)
-        entries = [_fit_report_entry(model)]
+        dirs = [out / f"class_{m.positive_class}" for m in models]
     else:
-        if method in ("csda", "mcsda"):
-            raise ValueError(
-                f"{method} is class-specific: pass --positive-class or --one-vs-rest"
-            )
-        model = fit_lda(data, config) if method == "lda" else fit_mda(data, config)
-        save_model(model, out, force=args.force)
-        entries = [_fit_report_entry(model)]
+        models, dirs = [_fit(data, method, args.positive_class, config)], [out]
+    for model, model_dir in zip(models, dirs):
+        save_model(model, model_dir, force=args.force)
+    entries = [_fit_report_entry(m) for m in models]
     report = {"version": 1, "method": method, "models": entries}
     report_path = out / "fit_report.json"
     report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -220,6 +203,8 @@ def cmd_bench(args) -> int:
     """Time the vectorized against the multilinear class-specific fit on
     one synthetic dataset and report wall times, the model-size gap and
     the scoring throughput of each fitted model."""
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     dims = args.dims
     sub = args.subspace
     if len(sub) != len(dims):
@@ -241,18 +226,13 @@ def cmd_bench(args) -> int:
         )
     )
     d_vector = math.prod(sub)
-    vec_cfg = TrainConfig(
-        subspace_dims=d_vector,
-        reg_lambda=args.reg_lambda,
-        max_iter=args.max_iter,
-        eps=args.eps,
-    )
     ten_cfg = TrainConfig(
         subspace_dims=sub,
         reg_lambda=args.reg_lambda,
         max_iter=args.max_iter,
         eps=args.eps,
     )
+    vec_cfg = replace(ten_cfg, subspace_dims=d_vector)
 
     def best_of(fn):
         """Best wall time over the repeats, and the last fitted model."""

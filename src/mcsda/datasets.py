@@ -10,8 +10,10 @@ On disk a dataset is a directory holding three files:
 
 Every ``.bin`` array and JSON manifest, of datasets and models alike,
 goes through the one codec here: ``_write_array``, ``_read_array``
-(size-checked before reading) and ``_read_json`` (version-checked). A
-stack such as ``data.bin`` is one array with the count as its last axis.
+(size-checked before reading), ``_read_json`` (version-checked) and
+``_manifest_entries`` (a missing or mistyped entry is a format error
+naming the manifest). A stack such as ``data.bin`` is one array with the
+count as its last axis.
 
 All randomness (splits, synthetic data) goes through numpy's default
 PCG64 ``Generator`` seeded explicitly, so results are reproducible from
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -184,6 +187,18 @@ def _read_json(path: Path, version: int) -> dict:
     return doc
 
 
+@contextmanager
+def _manifest_entries(path: Path):
+    """Report a missing or mistyped manifest entry met in the block as a
+    DatasetFormatError naming `path`; the codec's own errors pass through."""
+    try:
+        yield
+    except DatasetFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path}: missing or malformed entry: {exc}") from exc
+
+
 def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetManifest:
     """Write `data` to directory `path` in the documented format.
 
@@ -219,26 +234,24 @@ def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetMani
 def _read_manifest(root: Path) -> DatasetManifest:
     manifest_path = root / MANIFEST_NAME
     doc = _read_json(manifest_path, MANIFEST_VERSION)
-    for key in ("dims", "count", "n_classes", "dtype", "data_file", "label_file"):
-        if key not in doc:
-            raise DatasetFormatError(f"{manifest_path}: missing key {key!r}")
-    if doc["dtype"] != DTYPE_TAG:
-        raise DatasetFormatError(
-            f"{manifest_path}: unsupported dtype tag {doc['dtype']!r}, "
-            f"expected {DTYPE_TAG!r}"
+    with _manifest_entries(manifest_path):
+        if doc["dtype"] != DTYPE_TAG:
+            raise DatasetFormatError(
+                f"{manifest_path}: unsupported dtype tag {doc['dtype']!r}, "
+                f"expected {DTYPE_TAG!r}"
+            )
+        dims = tuple(int(d) for d in doc["dims"])
+        if not dims or any(d < 1 for d in dims):
+            raise DatasetFormatError(f"{manifest_path}: invalid dims {doc['dims']}")
+        return DatasetManifest(
+            version=int(doc["version"]),
+            dims=dims,
+            count=int(doc["count"]),
+            n_classes=int(doc["n_classes"]),
+            dtype=str(doc["dtype"]),
+            data_file=str(doc["data_file"]),
+            label_file=str(doc["label_file"]),
         )
-    dims = tuple(int(d) for d in doc["dims"])
-    if not dims or any(d < 1 for d in dims):
-        raise DatasetFormatError(f"{manifest_path}: invalid dims {doc['dims']}")
-    return DatasetManifest(
-        version=int(doc["version"]),
-        dims=dims,
-        count=int(doc["count"]),
-        n_classes=int(doc["n_classes"]),
-        dtype=str(doc["dtype"]),
-        data_file=str(doc["data_file"]),
-        label_file=str(doc["label_file"]),
-    )
 
 
 def _read_labels(path: Path, count: int, n_classes: int) -> np.ndarray:

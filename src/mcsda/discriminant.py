@@ -12,8 +12,11 @@ one-mode case: the stacks are vectorized, so one sweep is one eigensolve.
 The class-specific criteria (``csda``, ``mcsda``) separate one positive
 class from everything else and center every scatter on the positive
 class mean; the multi-class criteria (``lda``, ``mda``) use between- and
-within-class scatters over all classes. Trained models score a sample by
-inverse distance to the projected reference mean, 1 / (1 + d).
+within-class scatters over all classes. ``_fit`` is the one entry for
+every method with or without a positive class: given one, ``lda``/``mda``
+build the stacks of the binary positive-vs-rest problem and keep the
+positive class mean as the scoring reference. Trained models score a
+sample by inverse distance to the projected reference mean, 1 / (1 + d).
 ``score_batch`` is the one scoring routine: it projects a whole
 (N, *dims) stack and the reference mean once each. ``similarity_score``
 and ``project`` are its one-sample forms.
@@ -32,7 +35,7 @@ from numpy.linalg import LinAlgError
 
 from .datasets import LabeledDataset
 from .linalg import ScatterPair, solve_ratio_trace
-from .tensor_ops import _project_stack
+from .tensor_ops import _check_projections, _project_stack
 
 __all__ = [
     "VECTOR_METHODS",
@@ -67,6 +70,8 @@ logger = logging.getLogger(__name__)
 VECTOR_METHODS = frozenset({"lda", "csda"})
 TENSOR_METHODS = frozenset({"mda", "mcsda"})
 METHODS = VECTOR_METHODS | TENSOR_METHODS
+# criteria defined by a positive class (lda/mda only get wrapped by one)
+_CLASS_SPECIFIC = frozenset({"csda", "mcsda"})
 
 INIT_CHOICES = ("ones", "identity_slice")
 
@@ -210,10 +215,20 @@ def _class_specific_stacks(data: LabeledDataset, positive: int):
     return stats, centered[~pos_mask], centered[pos_mask]
 
 
-def _multiclass_stacks(data: LabeledDataset):
+def _multiclass_stacks(data: LabeledDataset, positive: int | None = None):
     """Statistics, then the count-weighted class-mean offsets (between,
-    numerator) and the within-class residuals (denominator)."""
-    stats = class_statistics(data)
+    numerator) and the within-class residuals (denominator). A positive
+    class relabels the samples {positive -> 1, rest -> 2} first: the
+    binary positive-vs-rest stacks, with ``stats.positive_mean`` set."""
+    if positive is not None:
+        _check_positive(positive, data.n_classes)
+        data = LabeledDataset(
+            samples=data.samples,
+            labels=np.where(data.labels == positive, 1, 2),
+            n_classes=2,
+        )
+        positive = 1
+    stats = class_statistics(data, positive)
     shape = (-1,) + (1,) * len(data.dims)
     between = (stats.class_means - stats.total_mean) * np.sqrt(
         stats.counts
@@ -255,24 +270,6 @@ def csda_scatters(data: LabeledDataset, positive: int) -> ScatterPair:
     return _scatter_pair(_flatten_samples(num), _flatten_samples(den))
 
 
-def _check_projection_list(projections, dims, mode: int):
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for {len(dims)}-mode data")
-    ws = [np.asarray(w, dtype=np.float64) for w in projections]
-    if len(ws) != len(dims):
-        raise ValueError(
-            f"expected {len(dims)} projection matrices, got {len(ws)}"
-        )
-    for k, w in enumerate(ws):
-        if k == mode:
-            continue
-        if w.ndim != 2 or w.shape[0] != dims[k]:
-            raise ValueError(
-                f"projection {k} has shape {w.shape}, expected ({dims[k]}, d)"
-            )
-    return ws
-
-
 def mode_k_class_specific_scatters(
     data: LabeledDataset, positive: int, projections, mode: int
 ) -> ScatterPair:
@@ -283,7 +280,7 @@ def mode_k_class_specific_scatters(
     `projections` is ignored), unfolded along `mode`, and accumulated as
     U U^T: negatives into the numerator, positives into the denominator.
     """
-    ws = _check_projection_list(projections, data.dims, mode)
+    ws = _check_projections(projections, data.dims, skip=mode)
     _, num, den = _class_specific_stacks(data, positive)
     return _scatter_pair(num, den, ws, mode)
 
@@ -291,7 +288,7 @@ def mode_k_class_specific_scatters(
 def mda_mode_scatters(data: LabeledDataset, projections, mode: int) -> ScatterPair:
     """Mode-`mode` between-class (count-weighted) and within-class
     scatters for the multi-class tensor criterion."""
-    ws = _check_projection_list(projections, data.dims, mode)
+    ws = _check_projections(projections, data.dims, skip=mode)
     _, between, within = _multiclass_stacks(data)
     return _scatter_pair(between, within, ws, mode)
 
@@ -355,6 +352,12 @@ def _subspace_projector(w: np.ndarray, strict: bool = False) -> np.ndarray:
     return basis @ basis.T
 
 
+def _projector_distance(prev, curr) -> float:
+    """Summed Frobenius distance between paired per-mode projectors, the
+    sweep loop's stopping quantity and :func:`convergence_metric`."""
+    return float(sum(np.linalg.norm(c - p) for p, c in zip(prev, curr)))
+
+
 def convergence_metric(prev, curr) -> float:
     """Summed Frobenius distance between the per-mode column-space
     projectors of two projection sets.
@@ -364,46 +367,38 @@ def convergence_metric(prev, curr) -> float:
     matrix is rank-deficient, since its projector is then ambiguous in
     the W (W^T W)^-1 W^T form.
     """
-    prev = list(prev)
-    curr = list(curr)
+    prev = [np.asarray(w, dtype=np.float64) for w in prev]
+    curr = [np.asarray(w, dtype=np.float64) for w in curr]
     if len(prev) != len(curr):
         raise ValueError(
             f"projection sets have different lengths: {len(prev)} vs {len(curr)}"
         )
-    total = 0.0
     for wp, wc in zip(prev, curr):
-        wp = np.asarray(wp, dtype=np.float64)
-        wc = np.asarray(wc, dtype=np.float64)
         if wp.shape != wc.shape:
             raise ValueError(
                 f"projection shapes differ: {wp.shape} vs {wc.shape}"
             )
-        total += float(
-            np.linalg.norm(
-                _subspace_projector(wc, strict=True)
-                - _subspace_projector(wp, strict=True)
-            )
-        )
-    return total
+    return _projector_distance(
+        [_subspace_projector(w, strict=True) for w in prev],
+        [_subspace_projector(w, strict=True) for w in curr],
+    )
 
 
 # ---------------------------------------------------------------------------
 # fitting
 
 
-def _scalar_subspace_dim(subspace_dims) -> int:
-    if isinstance(subspace_dims, tuple):
-        if len(subspace_dims) != 1:
-            raise ValueError(
-                "vector methods take a single subspace dimension, got "
-                f"{subspace_dims}"
-            )
-        return int(subspace_dims[0])
-    return int(subspace_dims)
-
-
-def _tensor_subspace_dims(subspace_dims, dims) -> tuple[int, ...]:
+def _subspace_dims(method: str, subspace_dims, dims):
+    """The model's `subspace_dims` and the per-mode dims the sweeps solve
+    for: one dimension of the vectorized sample for vector methods, one
+    dimension within 1..I_k per mode for tensor methods."""
     sub = subspace_dims if isinstance(subspace_dims, tuple) else (int(subspace_dims),)
+    if method in VECTOR_METHODS:
+        if len(sub) != 1:
+            raise ValueError(
+                f"vector methods take a single subspace dimension, got {subspace_dims}"
+            )
+        return sub[0], sub
     if len(sub) != len(dims):
         raise ValueError(
             f"need one subspace dimension per mode: got {sub} for dims {dims}"
@@ -413,7 +408,7 @@ def _tensor_subspace_dims(subspace_dims, dims) -> tuple[int, ...]:
             raise ValueError(
                 f"subspace dimension {d} for mode {k} outside 1..{full}"
             )
-    return sub
+    return sub, sub
 
 
 def _init_projections(dims, sub_dims, init: str) -> list[np.ndarray]:
@@ -442,7 +437,7 @@ def _alternate(num, den, ws, sub_dims, config):
         _sweep(num, den, ws, sub_dims, config.reg_lambda)
         objective_trace.append(_objective(num, den, ws))
         current = [_subspace_projector(w) for w in ws]
-        delta = float(sum(np.linalg.norm(c - p) for c, p in zip(current, prev)))
+        delta = _projector_distance(prev, current)
         convergence_trace.append(delta)
         prev = current
         logger.debug(
@@ -456,7 +451,9 @@ def _alternate(num, den, ws, sub_dims, config):
 def _fit(
     data: LabeledDataset, method: str, positive: int | None, config: TrainConfig
 ) -> DiscriminantModel:
-    """The fit engine behind all four trainers.
+    """The one fit engine, for every method with or without a positive
+    class (csda/mcsda need one; lda/mda train the binary positive-vs-rest
+    problem with one and the multi-class criterion without).
 
     Builds the criterion's two stacks once, then runs Gauss-Seidel sweeps
     of per-mode eigensolves. A vector method is the one-mode case: both
@@ -465,24 +462,27 @@ def _fit(
     check.
     """
     start = time.perf_counter()
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     vector = method in VECTOR_METHODS
-    if vector:
-        subspace = _scalar_subspace_dim(config.subspace_dims)
-        sub_dims = (subspace,)
-    else:
-        subspace = sub_dims = _tensor_subspace_dims(config.subspace_dims, data.dims)
-    if method in ("csda", "mcsda"):
+    subspace, sub_dims = _subspace_dims(method, config.subspace_dims, data.dims)
+    if method in _CLASS_SPECIFIC:
+        if positive is None:
+            raise ValueError(
+                f"{method} is class-specific: pass --positive-class or --one-vs-rest"
+            )
         stats, num, den = _class_specific_stacks(data, positive)
     else:
-        if data.n_classes < 2:
+        stats, num, den = _multiclass_stacks(data, positive)
+        n_classes = len(stats.counts)
+        if n_classes < 2:
             raise ValueError(f"{method} needs at least two classes")
         # the between-class scatter has rank at most C - 1
-        if method == "lda" and subspace > data.n_classes - 1:
+        if method == "lda" and subspace > n_classes - 1:
             raise ValueError(
                 f"lda subspace dimension {subspace} exceeds n_classes - 1 = "
-                f"{data.n_classes - 1}"
+                f"{n_classes - 1}"
             )
-        stats, num, den = _multiclass_stacks(data)
     if vector:
         num, den = _flatten_samples(num), _flatten_samples(den)
     ws = _init_projections(num.shape[1:], sub_dims, config.init)
@@ -510,7 +510,7 @@ def _fit(
         positive_class=positive,
         config=config,
         fit_report=report,
-        class_means=None if positive is not None else stats.class_means,
+        class_means=None if method in _CLASS_SPECIFIC else stats.class_means,
     )
 
 
@@ -520,11 +520,8 @@ def fit_csda(data: LabeledDataset, positive: int, config: TrainConfig) -> Discri
 
 
 def fit_lda(data: LabeledDataset, config: TrainConfig) -> DiscriminantModel:
-    """Single eigensolve of the vectorized multi-class criterion.
-
-    The between-class scatter has rank at most C - 1, so subspace
-    dimensions beyond that are rejected.
-    """
+    """Single eigensolve of the vectorized multi-class criterion; the
+    subspace dimension is capped at C - 1."""
     return _fit(data, "lda", None, config)
 
 
@@ -545,24 +542,10 @@ def fit_class_specific(
 ) -> DiscriminantModel:
     """Train one scoring model for `positive` with any of the four methods.
 
-    csda/mcsda are class-specific natively. lda/mda are wrapped: samples
-    are relabeled {positive -> 1, rest -> 2}, the binary model is trained,
-    and the positive class mean becomes the scoring reference.
+    csda/mcsda are class-specific natively; lda/mda train the binary
+    positive-vs-rest problem and score against the positive class mean.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("csda", "mcsda"):
-        return _fit(data, method, positive, config)
-    _check_positive(positive, data.n_classes)
-    binary = LabeledDataset(
-        samples=data.samples,
-        labels=np.where(data.labels == positive, 1, 2),
-        n_classes=2,
-    )
-    model = _fit(binary, method, None, config)
-    model.positive_class = positive
-    model.reference_mean = model.class_means[0].copy()
-    return model
+    return _fit(data, method, positive, config)
 
 
 def fit_one_vs_rest(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import DatasetFormatError, _read_array, _read_json, _write_array
+from .datasets import DatasetFormatError, _manifest_entries, _read_array, _read_json, _write_array
 from .discriminant import METHODS, DiscriminantModel, FitReport, TrainConfig
 
 __all__ = ["save_model", "load_model"]
@@ -99,7 +99,7 @@ def load_model(path) -> DiscriminantModel:
     method = doc.get("method")
     if method not in METHODS:
         raise DatasetFormatError(f"{manifest_path}: unknown method {method!r}")
-    try:
+    with _manifest_entries(manifest_path):
         input_dims = tuple(int(d) for d in doc["input_dims"])
         raw_sub = doc["subspace_dims"]
         subspace_dims = (
@@ -129,18 +129,15 @@ def load_model(path) -> DiscriminantModel:
             seed=int(doc["seed"]),
         )
         report = FitReport(**doc["fit_report"])
-    except (KeyError, TypeError) as exc:
-        raise DatasetFormatError(
-            f"{manifest_path}: missing or malformed entry: {exc}"
-        ) from exc
-    positive = doc.get("positive_class")
+        positive = doc.get("positive_class")
+        positive = None if positive is None else int(positive)
     return DiscriminantModel(
         method=method,
         projections=projections,
         input_dims=input_dims,
         subspace_dims=subspace_dims,
         reference_mean=reference_mean,
-        positive_class=None if positive is None else int(positive),
+        positive_class=positive,
         config=config,
         fit_report=report,
         class_means=class_means,

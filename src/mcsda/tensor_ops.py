@@ -74,6 +74,20 @@ def mode_product(tensor, matrix, mode: int) -> np.ndarray:
     return np.moveaxis(out, 0, mode)
 
 
+def _check_projections(projections, dims, skip: int | None = None) -> list[np.ndarray]:
+    """float64 `projections`, one (I_k, d) matrix per mode of `dims`; the
+    matrix of mode `skip`, which the caller ignores, is not checked."""
+    if skip is not None:
+        _check_mode(len(dims), skip)
+    ws = [np.asarray(w, dtype=np.float64) for w in projections]
+    if len(ws) != len(dims):
+        raise ValueError(f"expected {len(dims)} projection matrices, got {len(ws)}")
+    for k, w in enumerate(ws):
+        if k != skip and (w.ndim != 2 or w.shape[0] != dims[k]):
+            raise ValueError(f"projection {k} has shape {w.shape}, expected ({dims[k]}, d)")
+    return ws
+
+
 def _project_stack(stack: np.ndarray, projections, skip: int | None = None) -> np.ndarray:
     """Contract axis q + 1 of `stack`, a stack of tensors, with
     projections[q]^T for every mode q except `skip`. Unchecked: callers
@@ -94,16 +108,4 @@ def multi_project(tensor, projections) -> np.ndarray:
     does not depend on the order of application.
     """
     t = np.asarray(tensor, dtype=np.float64)
-    ws = [np.asarray(w, dtype=np.float64) for w in projections]
-    if len(ws) != t.ndim:
-        raise ValueError(
-            f"expected {t.ndim} projection matrices for a {t.ndim}-mode "
-            f"tensor, got {len(ws)}"
-        )
-    for k, w in enumerate(ws):
-        if w.ndim != 2 or w.shape[0] != t.shape[k]:
-            raise ValueError(
-                f"projection {k} has shape {w.shape}, expected "
-                f"({t.shape[k]}, d)"
-            )
-    return _project_stack(t[np.newaxis], ws)[0]
+    return _project_stack(t[np.newaxis], _check_projections(projections, t.shape))[0]

@@ -542,3 +542,78 @@ def test_bench_reports_scoring_throughput(tmp_path, capsys):
     assert stored["csda_scores_per_s"] > 0
     assert stored["mcsda_scores_per_s"] > 0
     assert "predicted_ratio" in stored
+
+
+def test_train_positive_class_wrap_writes_both_mean_files(tmp_path):
+    data = make_synth(tmp_path)
+    out = tmp_path / "m"
+    assert run(
+        "train", "--data", str(data), "--method", "lda", "--dims", "1",
+        "--positive-class", "2", "--out", str(out),
+    ) == 0
+    doc = json.loads((out / "model.json").read_text())
+    assert doc["positive_class"] == 2
+    assert doc["reference_mean"]["file"] == "mean.bin"
+    assert doc["class_means"]["file"] == "class_means.bin"
+    assert doc["class_means"]["count"] == 2
+    assert (out / "mean.bin").is_file() and (out / "class_means.bin").is_file()
+    model = load_model(out)
+    assert np.array_equal(model.reference_mean, model.class_means[0])
+
+
+def damage_json(path, damage):
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+
+
+def assert_one_error_line_naming(capsys, name):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+
+
+def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys):
+    data = make_synth(tmp_path)
+    damage_json(data / "manifest.json", lambda doc: doc.update(dims=5))
+    code = run(
+        "train", "--data", str(data), "--method", "mcsda", "--dims", "2x2",
+        "--positive-class", "1", "--out", str(tmp_path / "m"),
+    )
+    assert code == 1
+    assert_one_error_line_naming(capsys, "manifest.json")
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda doc: doc["class_means"].update(count="many"),
+        lambda doc: doc["projections"][0].update(rows="x"),
+    ],
+    ids=["class_means_count", "projection_rows"],
+)
+def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
+    data = make_synth(tmp_path)
+    out = tmp_path / "m"
+    assert run(
+        "train", "--data", str(data), "--method", "lda", "--dims", "1",
+        "--positive-class", "1", "--out", str(out),
+    ) == 0
+    damage_json(out / "model.json", damage)
+    capsys.readouterr()
+    code = run(
+        "eval", "--models", str(out), "--data", str(data),
+        "--task", "verify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    assert_one_error_line_naming(capsys, "model.json")
+
+
+def test_bench_rejects_zero_repeats(monkeypatch, capsys):
+    def no_synth(spec):
+        raise AssertionError("bench synthesized data before checking --repeats")
+
+    monkeypatch.setattr("mcsda.cli.synth_generate", no_synth)
+    code = run("bench", "--dims", "4x3", "--subspace", "2x2", "--repeats", "0")
+    assert code == 2
+    assert "--repeats" in capsys.readouterr().err

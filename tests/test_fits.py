@@ -502,3 +502,36 @@ def test_synth_then_fit_recovers_structure():
     ds = synth_generate(spec)
     model = fit_mcsda(ds, 1, TrainConfig(subspace_dims=(2, 2), max_iter=20))
     assert model.fit_report.objective_trace[-1] > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the fit loop and the public metric measure the same thing
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_convergence_trace_is_convergence_metric(rng, k):
+    ds = separable(rng, dims=(5, 4, 3), n_classes=3, per_class=8)
+    short = fit_mcsda(ds, 1, TrainConfig(subspace_dims=(2, 2, 2), max_iter=k, eps=1e-300))
+    longer = fit_mcsda(ds, 1, TrainConfig(subspace_dims=(2, 2, 2), max_iter=k + 1, eps=1e-300))
+    assert longer.fit_report.iterations_run == k + 1
+    assert convergence_metric(short.projections, longer.projections) == (
+        longer.fit_report.convergence_trace[k]
+    )
+
+
+# ---------------------------------------------------------------------------
+# the positive-vs-rest wrap of the multi-class methods
+
+
+@pytest.mark.parametrize("method, dims, sub", [("lda", (5, 4), 1), ("mda", (5, 4), (2, 2))])
+def test_wrap_builds_binary_model(rng, method, dims, sub):
+    ds = separable(rng, dims=dims, n_classes=3, per_class=10)
+    c = 2
+    model = fit_class_specific(ds, method, c, TrainConfig(subspace_dims=sub, max_iter=3))
+    assert model.positive_class == c
+    expected = np.stack(
+        [ds.samples[ds.labels == c].mean(axis=0), ds.samples[ds.labels != c].mean(axis=0)]
+    )
+    assert model.class_means.shape == (2, *dims)
+    assert np.allclose(model.class_means, expected, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(model.reference_mean, model.class_means[0])
