@@ -77,10 +77,12 @@ def main():
         "--fractions", type=parse_fractions, default=(0.1, 0.2, 0.25, 0.35, 0.5)
     )
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--lambda", dest="reg_lambda", type=float, default=0.01)
-    parser.add_argument("--max-iter", type=int, default=20)
-    parser.add_argument("--eps", type=float, default=1e-5)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--lambda", dest="reg_lambda", type=float, default=TrainConfig.reg_lambda
+    )
+    parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter)
+    parser.add_argument("--eps", type=float, default=TrainConfig.eps)
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--report", help="optional JSON output path")
     args = parser.parse_args()
 

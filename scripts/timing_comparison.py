@@ -19,6 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from mcsda import TrainConfig
 from mcsda.cli import main as cli_main
 
 
@@ -52,9 +53,11 @@ def main():
     )
     parser.add_argument("--n", type=int, default=200, help="total sample count")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--lambda", dest="reg_lambda", type=float, default=0.01)
-    parser.add_argument("--max-iter", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--lambda", dest="reg_lambda", type=float, default=TrainConfig.reg_lambda
+    )
+    parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter)
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--report", help="optional JSON output path")
     args = parser.parse_args()
 

@@ -26,6 +26,7 @@ from .datasets import (
     synth_generate,
 )
 from .discriminant import (
+    INIT_CHOICES,
     METHODS,
     VECTOR_METHODS,
     TrainConfig,
@@ -165,6 +166,11 @@ def cmd_eval(args) -> int:
                     f"verification needs one model per class, got "
                     f"{classes.count(c)} models for positive class {c}"
                 )
+            if not np.any(data.labels == c):
+                raise RuntimeError(
+                    f"dataset {args.data} has no samples of class {c}, the "
+                    f"positive class of a model"
+                )
         per_class_ap: dict[int, float] = {}
         support: dict[int, int] = {}
         for model in models:
@@ -212,8 +218,7 @@ def cmd_bench(args) -> int:
             f"--subspace needs one entry per mode of --dims: got "
             f"{'x'.join(map(str, sub))} for {'x'.join(map(str, dims))}"
         )
-    if any(s > d for s, d in zip(sub, dims)):
-        raise ValueError("--subspace entries must not exceed --dims entries")
+    mcsda_parameters = parameter_count("mcsda", dims, sub)
     per_class = max(1, args.n // 2)
     data = synth_generate(
         SynthSpec(
@@ -275,7 +280,7 @@ def cmd_bench(args) -> int:
         "predicted_ratio": predicted_ratio,
         "mcsda_iterations_run": mcsda_model.fit_report.iterations_run,
         "parameter_count_csda": parameter_count("csda", dims, d_vector),
-        "parameter_count_mcsda": parameter_count("mcsda", dims, sub),
+        "parameter_count_mcsda": mcsda_parameters,
         "csda_scores_per_s": csda_scores_per_s,
         "mcsda_scores_per_s": mcsda_scores_per_s,
     }
@@ -296,6 +301,16 @@ def cmd_bench(args) -> int:
         f"mcsda {mcsda_scores_per_s:.0f} scores/s"
     )
     return 0
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The training flags that train and bench share, with TrainConfig's defaults."""
+    parser.add_argument(
+        "--lambda", dest="reg_lambda", type=float, default=TrainConfig.reg_lambda
+    )
+    parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter)
+    parser.add_argument("--eps", type=float, default=TrainConfig.eps)
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -325,11 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="subspace dims: AxB per mode for mda/mcsda, scalar for lda/csda",
     )
-    train.add_argument("--lambda", dest="reg_lambda", type=float, default=0.01)
-    train.add_argument("--max-iter", type=int, default=20)
-    train.add_argument("--eps", type=float, default=1e-5)
-    train.add_argument("--init", choices=("ones", "identity_slice"), default="ones")
-    train.add_argument("--seed", type=int, default=0)
+    _add_config_flags(train)
+    train.add_argument("--init", choices=INIT_CHOICES, default=TrainConfig.init)
     group = train.add_mutually_exclusive_group()
     group.add_argument("--positive-class", type=int)
     group.add_argument("--one-vs-rest", action="store_true")
@@ -356,10 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--subspace", type=_parse_dims, default=(7, 7))
     bench.add_argument("--n", type=int, default=200, help="total sample count")
     bench.add_argument("--repeats", type=int, default=5)
-    bench.add_argument("--lambda", dest="reg_lambda", type=float, default=0.01)
-    bench.add_argument("--max-iter", type=int, default=20)
-    bench.add_argument("--eps", type=float, default=1e-5)
-    bench.add_argument("--seed", type=int, default=0)
+    _add_config_flags(bench)
     bench.add_argument("--report", help="optional path for a JSON result")
     bench.set_defaults(func=cmd_bench)
 
@@ -377,10 +386,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=_log_level(), format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (DatasetFormatError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

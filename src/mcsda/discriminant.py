@@ -250,8 +250,7 @@ def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
     def scatter(stack):
         h = np.moveaxis(_project_stack(stack, projections, skip=mode), mode + 1, 0)
         h = h.reshape(h.shape[0], -1)
-        s = h @ h.T
-        return 0.5 * (s + s.T)
+        return h @ h.T
 
     return ScatterPair(numerator=scatter(num), denominator=scatter(den))
 
@@ -303,13 +302,9 @@ def _objective(num: np.ndarray, den: np.ndarray, projections) -> float:
     A single matrix for multi-mode stacks projects the flattened samples
     (the vector-method route); otherwise there is one matrix per mode.
     """
-    ws = [np.asarray(w, dtype=np.float64) for w in projections]
-    if len(ws) == 1 and num.ndim > 2:
+    if len(projections) == 1 and num.ndim > 2:
         num, den = _flatten_samples(num), _flatten_samples(den)
-    elif len(ws) != num.ndim - 1:
-        raise ValueError(
-            f"expected {num.ndim - 1} projection matrices, got {len(ws)}"
-        )
+    ws = _check_projections(projections, num.shape[1:])
     p = _project_stack(num, ws)
     q = _project_stack(den, ws)
     num_norm, den_norm = float(np.sum(p * p)), float(np.sum(q * q))
@@ -392,7 +387,7 @@ def _subspace_dims(method: str, subspace_dims, dims):
     """The model's `subspace_dims` and the per-mode dims the sweeps solve
     for: one dimension of the vectorized sample for vector methods, one
     dimension within 1..I_k per mode for tensor methods."""
-    sub = subspace_dims if isinstance(subspace_dims, tuple) else (int(subspace_dims),)
+    sub = tuple(int(d) for d in np.atleast_1d(subspace_dims))
     if method in VECTOR_METHODS:
         if len(sub) != 1:
             raise ValueError(
@@ -634,18 +629,12 @@ def similarity_score(model: DiscriminantModel, sample) -> float:
 
 def parameter_count(method: str, input_dims, subspace_dims) -> int:
     """Stored projection parameters: sum of I_k * I'_k per mode for
-    tensor methods, prod(I_k) * prod(I'_k) for vector methods."""
+    tensor methods, whose subspace dims follow the fit's rule, and
+    prod(I_k) * prod(I'_k) for vector methods."""
     dims = tuple(int(d) for d in input_dims)
-    if isinstance(subspace_dims, (tuple, list)):
-        sub = tuple(int(d) for d in subspace_dims)
-    else:
-        sub = (int(subspace_dims),)
     if method in TENSOR_METHODS:
-        if len(sub) != len(dims):
-            raise ValueError(
-                f"need one subspace dimension per mode: got {sub} for dims {dims}"
-            )
-        return int(sum(i * j for i, j in zip(dims, sub)))
+        _, sub = _subspace_dims(method, subspace_dims, dims)
+        return sum(i * j for i, j in zip(dims, sub))
     if method in VECTOR_METHODS:
-        return math.prod(dims) * math.prod(sub)
+        return math.prod(dims) * math.prod(int(d) for d in np.atleast_1d(subspace_dims))
     raise ValueError(f"unknown method {method!r}")

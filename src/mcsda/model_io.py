@@ -91,8 +91,17 @@ def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
             stale.unlink()
 
 
+def _read_finite(path: Path, shape) -> np.ndarray:
+    """A model matrix file, which must hold finite values only."""
+    array = _read_array(path, shape)
+    if not np.isfinite(array).all():
+        raise DatasetFormatError(f"{path}: holds a NaN or infinite value")
+    return array
+
+
 def load_model(path) -> DiscriminantModel:
-    """Load a model directory written by :func:`save_model`."""
+    """Load a model directory written by :func:`save_model`; a matrix
+    file holding NaN or inf is a format error."""
     root = Path(path)
     manifest_path = root / MODEL_NAME
     doc = _read_json(manifest_path, MODEL_VERSION)
@@ -106,19 +115,19 @@ def load_model(path) -> DiscriminantModel:
             tuple(int(d) for d in raw_sub) if isinstance(raw_sub, list) else int(raw_sub)
         )
         projections = [
-            _read_array(root / e["file"], (int(e["rows"]), int(e["cols"])))
+            _read_finite(root / e["file"], (int(e["rows"]), int(e["cols"])))
             for e in doc["projections"]
         ]
         reference_mean = None
         if doc.get("reference_mean") is not None:
             entry = doc["reference_mean"]
             dims = tuple(int(d) for d in entry["dims"])
-            reference_mean = _read_array(root / entry["file"], dims)
+            reference_mean = _read_finite(root / entry["file"], dims)
         class_means = None
         if doc.get("class_means") is not None:
             entry = doc["class_means"]
             dims = tuple(int(d) for d in entry["dims"])
-            stacked = _read_array(root / entry["file"], dims + (int(entry["count"]),))
+            stacked = _read_finite(root / entry["file"], dims + (int(entry["count"]),))
             class_means = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
         config = TrainConfig(
             subspace_dims=subspace_dims,

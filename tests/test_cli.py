@@ -617,3 +617,34 @@ def test_bench_rejects_zero_repeats(monkeypatch, capsys):
     code = run("bench", "--dims", "4x3", "--subspace", "2x2", "--repeats", "0")
     assert code == 2
     assert "--repeats" in capsys.readouterr().err
+
+
+def test_eval_verify_dataset_without_a_positive_class(tmp_path, capsys):
+    data = make_synth(tmp_path, "three", classes=3)
+    two = make_synth(tmp_path, "two", classes=2)
+    models = train_ovr(tmp_path, data)
+    capsys.readouterr()
+    code = run(
+        "eval", "--models", str(models), "--data", str(two),
+        "--task", "verify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    assert_one_error_line_naming(capsys, f"dataset {two} has no samples of class 3")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("name", ["W1.bin", "mean.bin"])
+def test_eval_nonfinite_model_file_is_format_error(tmp_path, capsys, name):
+    data = make_synth(tmp_path)
+    models = train_ovr(tmp_path, data)
+    path = models / "class_2" / name
+    values = np.fromfile(path, dtype="<f8")
+    values[0] = np.nan
+    values.tofile(path)
+    capsys.readouterr()
+    code = run(
+        "eval", "--models", str(models), "--data", str(data),
+        "--task", "verify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    assert_one_error_line_naming(capsys, str(path))

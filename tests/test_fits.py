@@ -488,6 +488,8 @@ def test_parameter_count_validation():
         parameter_count("pca", (4, 3), (2, 2))
     with pytest.raises(ValueError, match="per mode"):
         parameter_count("mcsda", (4, 3), (2,))
+    with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+        parameter_count("mcsda", (4, 3), (5, 2))
 
 
 # ---------------------------------------------------------------------------

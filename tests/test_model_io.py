@@ -244,3 +244,17 @@ def test_malformed_manifest_names_the_file(rng, tmp_path, damage):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(DatasetFormatError, match="model.json: missing or malformed"):
         load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["W1.bin", "mean.bin", "class_means.bin"])
+def test_nonfinite_matrix_file_names_the_file(rng, tmp_path, name, value):
+    # the wrapped lda model writes all three kinds of matrix file
+    ds = random_dataset(rng, dims=(5,), n_classes=3, per_class=8)
+    save_model(fit_class_specific(ds, "lda", 2, TrainConfig(subspace_dims=1)), tmp_path / "m")
+    path = tmp_path / "m" / name
+    values = np.fromfile(path, dtype="<f8")
+    values[-1] = value
+    values.tofile(path)
+    with pytest.raises(DatasetFormatError, match=rf"{name}: holds a NaN or infinite value"):
+        load_model(tmp_path / "m")
