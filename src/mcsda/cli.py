@@ -17,6 +17,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .datasets import (
     DatasetFormatError,
@@ -205,6 +206,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _environment() -> dict:
+    """What a timing depends on besides the code: library versions, the
+    BLAS builds numpy and scipy link, the thread variables and the CPUs
+    this process may run on."""
+
+    def blas(config: dict) -> dict:
+        deps = config.get("Build Dependencies", {})
+        keys = ("name", "version", "openblas configuration")
+        return {
+            lib: {key: deps.get(lib, {}).get(key) for key in keys} for lib in ("blas", "lapack")
+        }
+
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_build": blas(np.show_config(mode="dicts")),
+        "scipy_build": blas(scipy.show_config(mode="dicts")),
+        "thread_env": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+        ),
+    }
+
+
 def cmd_bench(args) -> int:
     """Time the vectorized against the multilinear class-specific fit on
     one synthetic dataset and report wall times, the model-size gap and
@@ -283,6 +312,7 @@ def cmd_bench(args) -> int:
         "parameter_count_mcsda": mcsda_parameters,
         "csda_scores_per_s": csda_scores_per_s,
         "mcsda_scores_per_s": mcsda_scores_per_s,
+        "env": _environment(),
     }
     if args.report:
         Path(args.report).write_text(json.dumps(result, indent=2) + "\n")

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
+from scipy.linalg.blas import dsyrk
 
 from .datasets import LabeledDataset
 from .linalg import ScatterPair, solve_ratio_trace
-from .tensor_ops import _check_projections, _project_stack
+from .tensor_ops import _check_projections, _gemm_tn, _project_stack
 
 __all__ = [
     "VECTOR_METHODS",
@@ -250,7 +251,17 @@ def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
     def scatter(stack):
         h = np.moveaxis(_project_stack(stack, projections, skip=mode), mode + 1, 0)
         h = h.reshape(h.shape[0], -1)
-        return h @ h.T
+        # h h^T by syrk into the lower triangle (h^T is passed when h is
+        # C-ordered, so that f2py copies neither), then mirrored: the
+        # strict upper triangle is zero, so s + s^T is exact off the
+        # diagonal, and the diagonal is put back from s
+        if h.flags.f_contiguous:
+            s = dsyrk(1.0, h, lower=1)
+        else:
+            s = dsyrk(1.0, h.T, trans=1, lower=1)
+        full = s + s.T
+        np.fill_diagonal(full, s.diagonal())
+        return full
 
     return ScatterPair(numerator=scatter(num), denominator=scatter(den))
 
@@ -488,6 +499,12 @@ def _fit(
         objective_trace, convergence_trace, converged = _alternate(
             num, den, ws, sub_dims, config
         )
+        if not converged:
+            logger.warning(
+                "%s fit for positive class %s did not converge: %d sweeps "
+                "(max_iter) ended at distance %.3g > eps %.3g",
+                method, positive, len(convergence_trace), convergence_trace[-1], config.eps,
+            )
     report = FitReport(
         objective_trace=objective_trace,
         convergence_trace=convergence_trace,
@@ -570,13 +587,14 @@ def _project(model: DiscriminantModel, stack: np.ndarray) -> np.ndarray:
     """Project a validated float64 (N, *input_dims) stack: (N, d) rows
     for vector methods, (N, *subspace_dims) tensors for tensor methods.
 
-    The vector projection contracts the stack against W viewed in the
-    sample layout, which equals W^T applied to each sample's Fortran
-    flattening without copying the stack."""
+    The vector projection reorders W's rows from the Fortran flattening
+    of a sample to the C flattening of the stack's rows, so that W^T
+    applies to a C-ordered stack as it lies in memory, without a copy."""
     if model.method in VECTOR_METHODS:
-        w = model.projections[0]
         dims = stack.shape[1:]
-        return np.tensordot(stack, w.reshape(dims + (-1,), order="F"), axes=len(dims))
+        flat = math.prod(dims)
+        w = model.projections[0].reshape(dims + (-1,), order="F").reshape(flat, -1)
+        return _gemm_tn(w, stack.reshape(stack.shape[0], flat).T).T
     return _project_stack(stack, model.projections)
 
 

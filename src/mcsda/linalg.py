@@ -6,6 +6,13 @@ eigenpairs of A w = value * (B + ridge * I) w. The regularized
 denominator is positive definite for ridge > 0, so the pencil is a
 symmetric-definite generalized eigenproblem, solved for its top d
 eigenpairs only by one LAPACK call through ``scipy.linalg.eigh``.
+
+That call runs on the OpenBLAS build bundled with scipy, whose thread
+pool is separate from numpy's. The fit engine therefore builds the
+scatters and projections it solves with ``scipy.linalg.blas`` too
+(``dsyrk`` in ``discriminant._scatter_pair``, ``dgemm`` in
+``tensor_ops._project_stack``), so that a fit keeps one pool busy
+instead of two pools competing for the same cores.
 """
 
 from __future__ import annotations

@@ -9,6 +9,12 @@ mode-0 unfolding of a Fortran-contiguous array is a plain reshape, and
     unfold(mode_product(t, w, k), k) == w @ unfold(t, k)
 
 holds for every matrix w whose column count matches dimension k.
+
+``_project_stack`` applies the mode products of a whole stack of
+tensors, for the fit engine and for scoring. It computes each one as a
+single ``dgemm`` from ``scipy.linalg.blas``, the OpenBLAS build that the
+eigensolver also runs on (see ``linalg``), with the operand order chosen
+so that no large operand is copied into Fortran order.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 __all__ = ["unfold", "fold", "mode_product", "multi_project"]
 
@@ -88,14 +95,26 @@ def _check_projections(projections, dims, skip: int | None = None) -> list[np.nd
     return ws
 
 
+def _gemm_tn(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """w^T b by one dgemm. The operand order follows b's layout, so that
+    f2py copies no large operand into Fortran order."""
+    if b.flags.f_contiguous:
+        return dgemm(1.0, w, b, trans_a=1)
+    return dgemm(1.0, b.T, w).T
+
+
 def _project_stack(stack: np.ndarray, projections, skip: int | None = None) -> np.ndarray:
     """Contract axis q + 1 of `stack`, a stack of tensors, with
-    projections[q]^T for every mode q except `skip`. Unchecked: callers
-    pass validated float64 arrays."""
+    projections[q]^T for every mode q except `skip`. Each mode copies the
+    stack at most once, to move axis q + 1 to the front. Unchecked:
+    callers pass validated float64 arrays."""
     out = stack
     for q, w in enumerate(projections):
         if q != skip:
-            out = np.moveaxis(np.tensordot(w.T, out, axes=(1, q + 1)), 0, q + 1)
+            moved = np.moveaxis(out, q + 1, 0)
+            rest = moved.shape[1:]
+            b = moved.reshape(moved.shape[0], math.prod(rest))
+            out = np.moveaxis(_gemm_tn(w, b).reshape((w.shape[1],) + rest), 0, q + 1)
     return out
 
 

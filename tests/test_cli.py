@@ -544,6 +544,37 @@ def test_bench_reports_scoring_throughput(tmp_path, capsys):
     assert "predicted_ratio" in stored
 
 
+def test_bench_report_carries_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    report_path = tmp_path / "bench.json"
+    assert run(
+        "bench", "--dims", "4x3", "--subspace", "2x2", "--n", "12",
+        "--repeats", "1", "--max-iter", "2", "--report", str(report_path),
+    ) == 0
+    stored = json.loads(report_path.read_text())
+    assert {
+        "dims", "subspace", "samples", "repeats", "csda_seconds", "mcsda_seconds",
+        "ratio_csda_over_mcsda", "predicted_ratio", "mcsda_iterations_run",
+        "parameter_count_csda", "parameter_count_mcsda", "csda_scores_per_s",
+        "mcsda_scores_per_s", "env",
+    } == set(stored)
+    env = stored["env"]
+    assert set(env) == {
+        "numpy", "scipy", "numpy_build", "scipy_build", "thread_env",
+        "cpu_count", "affinity_cpus",
+    }
+    assert env["numpy"] == np.__version__
+    for build in (env["numpy_build"], env["scipy_build"]):
+        assert set(build) == {"blas", "lapack"}
+        assert set(build["blas"]) == {"name", "version", "openblas configuration"}
+    assert env["thread_env"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+    }
+    assert env["cpu_count"] >= 1 and env["affinity_cpus"] >= 1
+
+
 def test_train_positive_class_wrap_writes_both_mean_files(tmp_path):
     data = make_synth(tmp_path)
     out = tmp_path / "m"

@@ -1,6 +1,8 @@
 """Trainer behavior: frozen fixtures, cross-method equivalences, trace
 bookkeeping, fixed-point self-consistency, and scoring."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -537,3 +539,24 @@ def test_wrap_builds_binary_model(rng, method, dims, sub):
     assert model.class_means.shape == (2, *dims)
     assert np.allclose(model.class_means, expected, rtol=1e-13, atol=1e-13)
     assert np.array_equal(model.reference_mean, model.class_means[0])
+
+
+def test_nonconvergence_logged_as_warning(rng, caplog):
+    ds = separable(rng, dims=(6, 5), n_classes=3, per_class=10)
+    with caplog.at_level(logging.WARNING, logger="mcsda.discriminant"):
+        model = fit_mcsda(ds, 2, TrainConfig(subspace_dims=(2, 2), max_iter=1))
+    assert not model.fit_report.converged
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert "mcsda fit for positive class 2 did not converge" in message
+    assert "1 sweeps" in message
+    assert f"{model.fit_report.convergence_trace[-1]:.3g} > eps 1e-05" in message
+
+
+def test_converged_fit_logs_no_warning(rng, caplog):
+    ds = separable(rng, dims=(5,), n_classes=2, per_class=10)
+    with caplog.at_level(logging.WARNING, logger="mcsda.discriminant"):
+        model = fit_mcsda(ds, 1, TrainConfig(subspace_dims=2, max_iter=10))
+    assert model.fit_report.converged
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]

@@ -19,6 +19,8 @@ from mcsda import (
     mode_product,
     unfold,
 )
+from mcsda.discriminant import _scatter_pair
+from mcsda.tensor_ops import _project_stack
 
 from conftest import assert_scatter_valid, random_dataset
 
@@ -284,3 +286,52 @@ def test_mode_scatters_validation(rng):
         mode_k_class_specific_scatters(ds, 1, ws, 2)
     with pytest.raises(ValueError, match="projection"):
         mode_k_class_specific_scatters(ds, 1, [ws[0]], 0)
+
+
+# ---------------------------------------------------------------------------
+# the syrk product path: exact symmetry and bit-identity with h @ h^T
+
+
+def test_public_scatters_exactly_symmetric(rng):
+    ds = random_dataset(rng, dims=(5, 4, 3), n_classes=3, per_class=7)
+    ws = random_projections(rng, ds.dims, (2, 2, 2))
+    pairs = [lda_scatters(ds), csda_scatters(ds, 2)]
+    for mode in range(3):
+        pairs.append(mode_k_class_specific_scatters(ds, 2, ws, mode))
+        pairs.append(mda_mode_scatters(ds, ws, mode))
+    for pair in pairs:
+        for s in (pair.numerator, pair.denominator):
+            assert np.array_equal(s, s.T)
+
+
+def _stack_layouts(rng, dims):
+    base = rng.normal(size=(9, *dims))
+    wide = rng.normal(size=(9, *dims[:-1], 2 * dims[-1]))
+    return {
+        "C": base,
+        "F": np.asfortranarray(base),
+        "sliced samples": rng.normal(size=(18, *dims))[::2],
+        "sliced last mode": wide[..., ::2],
+    }
+
+
+def _gram_by_matmul(stack, ws, mode):
+    h = np.moveaxis(_project_stack(stack, ws, skip=mode), mode + 1, 0)
+    h = h.reshape(h.shape[0], -1)
+    if not (h.flags.c_contiguous or h.flags.f_contiguous):
+        # numpy's matmul runs a loop of its own, not BLAS, on a strided
+        # operand; compare with the product of its contiguous copy
+        h = np.ascontiguousarray(h)
+    return h @ h.T
+
+
+@pytest.mark.parametrize("dims", [(7,), (6, 5), (5, 4, 3)])
+def test_scatter_pair_bit_identical_to_matmul(rng, dims):
+    for name, stack in _stack_layouts(rng, dims).items():
+        for ws in ((), random_projections(rng, dims, (2,) * len(dims))):
+            for mode in range(len(dims)):
+                pair = _scatter_pair(stack, stack[1::3], ws, mode)
+                want_num = _gram_by_matmul(stack, ws, mode)
+                want_den = _gram_by_matmul(stack[1::3], ws, mode)
+                assert np.array_equal(pair.numerator, want_num), (name, mode)
+                assert np.array_equal(pair.denominator, want_den), (name, mode)

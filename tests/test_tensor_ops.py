@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mcsda import fold, mode_product, multi_project, unfold
+from mcsda.tensor_ops import _project_stack
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +230,53 @@ def test_multi_project_wrong_count(rng):
     t = rng.normal(size=(3, 4))
     with pytest.raises(ValueError, match="projection"):
         multi_project(t, [np.eye(3)])
+
+
+def _layout(rng, shape, layout):
+    """A float64 array of `shape` in C order, Fortran order, or as a
+    strided view into a larger array."""
+    if layout == "sliced":
+        return rng.normal(size=shape[:-1] + (2 * shape[-1],))[..., ::2]
+    a = rng.normal(size=shape)
+    return np.asfortranarray(a) if layout == "F" else a
+
+
+def project_by_einsum(stack, ws, skip=None):
+    """Reference projection by one einsum: mode q of the stack is the
+    upper-case letter q, its projection the lower-case one, and the
+    skipped mode keeps its upper-case letter in the output."""
+    letters = "abcdefgh"
+    k = stack.ndim - 1
+    out = ["n"] + [letters[q].upper() if q == skip else letters[q] for q in range(k)]
+    terms = ["n" + "".join(letters[q].upper() for q in range(k))]
+    for q, w in enumerate(ws):
+        if q != skip:
+            terms.append(letters[q].upper() + letters[q])
+    operands = [stack] + [w for q, w in enumerate(ws) if q != skip]
+    return np.einsum(",".join(terms) + "->" + "".join(out), *operands)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    n=st.integers(0, 4),
+    layouts=st.lists(st.sampled_from(["C", "F", "sliced"]), min_size=4, max_size=4),
+    data=st.data(),
+)
+def test_project_stack_matches_einsum(dims, n, layouts, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = len(dims)
+    sub = [data.draw(st.integers(1, i)) for i in dims]
+    stack = _layout(rng, (n, *dims), layouts[0])
+    ws = [_layout(rng, (i, j), layouts[1 + q]) for q, (i, j) in enumerate(zip(dims, sub))]
+    for skip in (None, *range(k)):
+        got = _project_stack(stack, ws, skip=skip)
+        want = project_by_einsum(stack, ws, skip)
+        assert got.shape == want.shape
+        atol = 1e-12 * np.abs(want).max(initial=1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+    if n:
+        want = project_by_einsum(stack[:1], ws)[0]
+        np.testing.assert_allclose(
+            multi_project(stack[0], ws), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )
