@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import os
+import statistics
 import sys
 import time
 from dataclasses import asdict, replace
@@ -278,9 +279,13 @@ def cmd_bench(args) -> int:
         return min(times), model
 
     def scores_per_s(model) -> float:
-        start = time.perf_counter()
-        score_batch(model, data.samples)
-        return data.count / (time.perf_counter() - start)
+        """Samples scored per second, from the median of the repeats."""
+        times = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            score_batch(model, data.samples)
+            times.append(time.perf_counter() - start)
+        return data.count / statistics.median(times)
 
     csda_seconds, csda_model = best_of(lambda: fit_csda(data, 1, vec_cfg))
     mcsda_seconds, mcsda_model = best_of(lambda: fit_mcsda(data, 1, ten_cfg))

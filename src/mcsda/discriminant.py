@@ -8,6 +8,9 @@ tensor shape and learn one projection matrix per mode, sweeping from an
 all-ones initialization until the summed projector distance between
 consecutive sweeps drops to `eps`. ``fit_lda`` and ``fit_csda`` are the
 one-mode case: the stacks are vectorized, so one sweep is one eigensolve.
+The engine lays each stack out once per mode and fit
+(``tensor_ops._mode_layout``), so a sweep's mode products copy nothing,
+and takes each sweep's objective from its last solve's unfoldings.
 
 The class-specific criteria (``csda``, ``mcsda``) separate one positive
 class from everything else and center every scatter on the positive
@@ -36,7 +39,13 @@ from scipy.linalg.blas import dsyrk
 
 from .datasets import LabeledDataset
 from .linalg import ScatterPair, solve_ratio_trace
-from .tensor_ops import _check_projections, _gemm_tn, _project_stack
+from .tensor_ops import (
+    _check_projections,
+    _gemm_tn,
+    _mode_layout,
+    _project_layout,
+    _project_stack,
+)
 
 __all__ = [
     "VECTOR_METHODS",
@@ -238,6 +247,22 @@ def _multiclass_stacks(data: LabeledDataset, positive: int | None = None):
     return stats, between, within
 
 
+def _gram(h: np.ndarray) -> np.ndarray:
+    """h h^T of an (I, M) unfolding, exactly symmetric; f2py copies h
+    only when it is neither C- nor Fortran-contiguous."""
+    # syrk into the lower triangle (h^T is passed when h is C-ordered, so
+    # that f2py copies neither), then mirrored: the strict upper triangle
+    # is zero, so s + s^T is exact off the diagonal, and the diagonal is
+    # put back from s
+    if h.flags.f_contiguous:
+        s = dsyrk(1.0, h, lower=1)
+    else:
+        s = dsyrk(1.0, h.T, trans=1, lower=1)
+    full = s + s.T
+    np.fill_diagonal(full, s.diagonal())
+    return full
+
+
 def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
     """Mode-`mode` scatters of both stacks: the sum over each stack of
     U U^T, where U is the mode-`mode` unfolding of an entry after
@@ -249,19 +274,10 @@ def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
     """
 
     def scatter(stack):
+        # with projections, _project_stack leaves mode `mode` first in
+        # memory, so the unfolding below is a free view
         h = np.moveaxis(_project_stack(stack, projections, skip=mode), mode + 1, 0)
-        h = h.reshape(h.shape[0], -1)
-        # h h^T by syrk into the lower triangle (h^T is passed when h is
-        # C-ordered, so that f2py copies neither), then mirrored: the
-        # strict upper triangle is zero, so s + s^T is exact off the
-        # diagonal, and the diagonal is put back from s
-        if h.flags.f_contiguous:
-            s = dsyrk(1.0, h, lower=1)
-        else:
-            s = dsyrk(1.0, h.T, trans=1, lower=1)
-        full = s + s.T
-        np.fill_diagonal(full, s.diagonal())
-        return full
+        return _gram(h.reshape(h.shape[0], -1))
 
     return ScatterPair(numerator=scatter(num), denominator=scatter(den))
 
@@ -423,14 +439,27 @@ def _init_projections(dims, sub_dims, init: str) -> list[np.ndarray]:
     return [np.eye(i, j) for i, j in zip(dims, sub_dims)]
 
 
-def _sweep(num, den, ws, sub_dims, ridge: float) -> None:
-    """One Gauss-Seidel sweep: solve each mode's pencil in turn, every
-    other mode projected with its latest matrix, updating `ws` in place."""
+def _sweep(layouts, ws, sub_dims, ridge: float) -> float:
+    """One Gauss-Seidel sweep over the numerator's and the denominator's
+    per-mode layouts: solve each mode's pencil in turn, every other mode
+    projected with its latest matrix, updating `ws` in place.
+
+    Returns the criterion at the new `ws`, taken from the unfoldings H of
+    the last solve: no mode changes after it, so the ratio of the
+    squared norms of the fully projected stacks is
+    ||W^T H_num||^2 / ||W^T H_den||^2 with that solve's W. The trace form
+    tr(W^T A W) / tr(W^T B W) is the same number in exact arithmetic, but
+    it cancels when B is nearly singular on the span of W.
+    """
     for k, d in enumerate(sub_dims):
-        ws[k] = solve_ratio_trace(_scatter_pair(num, den, ws, k), d, ridge).vectors
+        hs = [_project_layout(per_mode[k], ws, k) for per_mode in layouts]
+        hs = [h.reshape(h.shape[0], -1) for h in hs]
+        ws[k] = solve_ratio_trace(ScatterPair(*map(_gram, hs)), d, ridge).vectors
+    num_norm, den_norm = (float(np.sum(_gemm_tn(ws[-1], h) ** 2)) for h in hs)
+    return num_norm / den_norm if den_norm > 0 else math.inf
 
 
-def _alternate(num, den, ws, sub_dims, config):
+def _alternate(layouts, ws, sub_dims, config):
     """Sweeps until the summed projector distance between consecutive
     sweeps drops to `eps`; returns the objective and distance traces and
     whether that happened within `max_iter` sweeps."""
@@ -440,8 +469,7 @@ def _alternate(num, den, ws, sub_dims, config):
     objective_trace: list[float] = []
     convergence_trace: list[float] = []
     for sweep in range(1, config.max_iter + 1):
-        _sweep(num, den, ws, sub_dims, config.reg_lambda)
-        objective_trace.append(_objective(num, den, ws))
+        objective_trace.append(_sweep(layouts, ws, sub_dims, config.reg_lambda))
         current = [_subspace_projector(w) for w in ws]
         delta = _projector_distance(prev, current)
         convergence_trace.append(delta)
@@ -461,10 +489,11 @@ def _fit(
     class (csda/mcsda need one; lda/mda train the binary positive-vs-rest
     problem with one and the multi-class criterion without).
 
-    Builds the criterion's two stacks once, then runs Gauss-Seidel sweeps
-    of per-mode eigensolves. A vector method is the one-mode case: both
-    stacks are flattened, so a single sweep solves the pencil jointly and
-    is reported as one trivially converged sweep, without the projector
+    Builds the criterion's two stacks once and lays each out once per
+    mode, then runs Gauss-Seidel sweeps of per-mode eigensolves over the
+    layouts. A vector method is the one-mode case: both stacks are
+    flattened, so a single sweep solves the pencil jointly and is
+    reported as one trivially converged sweep, without the projector
     check.
     """
     start = time.perf_counter()
@@ -492,12 +521,14 @@ def _fit(
     if vector:
         num, den = _flatten_samples(num), _flatten_samples(den)
     ws = _init_projections(num.shape[1:], sub_dims, config.init)
+    layouts = [[_mode_layout(s, k) for k in range(len(ws))] for s in (num, den)]
+    del num, den  # free the stacks: the sweeps read only the layouts
     if vector:
-        _sweep(num, den, ws, sub_dims, config.reg_lambda)
-        objective_trace, convergence_trace, converged = [_objective(num, den, ws)], [0.0], True
+        objective = _sweep(layouts, ws, sub_dims, config.reg_lambda)
+        objective_trace, convergence_trace, converged = [objective], [0.0], True
     else:
         objective_trace, convergence_trace, converged = _alternate(
-            num, den, ws, sub_dims, config
+            layouts, ws, sub_dims, config
         )
         if not converged:
             logger.warning(

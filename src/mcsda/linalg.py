@@ -10,9 +10,9 @@ eigenpairs only by one LAPACK call through ``scipy.linalg.eigh``.
 That call runs on the OpenBLAS build bundled with scipy, whose thread
 pool is separate from numpy's. The fit engine therefore builds the
 scatters and projections it solves with ``scipy.linalg.blas`` too
-(``dsyrk`` in ``discriminant._scatter_pair``, ``dgemm`` in
-``tensor_ops._project_stack``), so that a fit keeps one pool busy
-instead of two pools competing for the same cores.
+(``dsyrk`` in ``discriminant._gram``, one ``dgemm`` per mode product in
+``tensor_ops``), so that a fit keeps one pool busy instead of two pools
+competing for the same cores.
 """
 
 from __future__ import annotations

@@ -11,10 +11,17 @@ mode-0 unfolding of a Fortran-contiguous array is a plain reshape, and
 holds for every matrix w whose column count matches dimension k.
 
 ``_project_stack`` applies the mode products of a whole stack of
-tensors, for the fit engine and for scoring. It computes each one as a
+tensors, for the fit engine and for scoring. Each mode product is a
 single ``dgemm`` from ``scipy.linalg.blas``, the OpenBLAS build that the
-eigensolver also runs on (see ``linalg``), with the operand order chosen
-so that no large operand is copied into Fortran order.
+eigensolver also runs on (see ``linalg``), on a free reshape of a
+C-contiguous array: it contracts the first or the last axis, and the new
+axis of the result lies at the other end. A chain of such products
+therefore rotates the axes instead of moving them, and copies nothing.
+A full projection chains them from the last axis of the (N, *dims)
+stack. A projection of every mode but k (the mode-k scatter's input)
+starts from the stack's mode-k layout, one copy with the axes ordered
+(other modes, mode k, sample), and chains them from the first axis; the
+fit engine makes each stack's layouts once per fit.
 """
 
 from __future__ import annotations
@@ -103,19 +110,58 @@ def _gemm_tn(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dgemm(1.0, b.T, w).T
 
 
+def _contract_first(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Contract the first axis of the C-contiguous `x` with w (I, d); the
+    new axis of size d comes last. The result is C-contiguous."""
+    m = x.reshape(x.shape[0], -1)
+    return dgemm(1.0, w, m.T, trans_a=1, trans_b=1).T.reshape(x.shape[1:] + (w.shape[1],))
+
+
+def _contract_last(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Contract the last axis of the C-contiguous `x` with w (I, d); the
+    new axis of size d comes first. The result is C-contiguous."""
+    m = x.reshape(-1, x.shape[-1])
+    return dgemm(1.0, m.T, w, trans_a=1).T.reshape((w.shape[1],) + x.shape[:-1])
+
+
+def _mode_layout(stack: np.ndarray, mode: int) -> np.ndarray:
+    """The (N, *dims) stack with its axes ordered (every mode but `mode`
+    in order, `mode`, sample): one C-contiguous copy, which
+    :func:`_project_layout` contracts without copying again. A one-mode
+    stack has nothing to contract, so its transposed view serves."""
+    axes = [q + 1 for q in range(stack.ndim - 1) if q != mode] + [mode + 1, 0]
+    layout = stack.transpose(axes)
+    return layout if stack.ndim == 2 else np.ascontiguousarray(layout)
+
+
+def _project_layout(layout: np.ndarray, projections, mode: int) -> np.ndarray:
+    """Contract every mode but `mode` of a :func:`_mode_layout`, in mode
+    order, with projections[q]^T. The result has the axes (`mode`, sample,
+    projected modes in order), so its (I_mode, M) reshape is free and is
+    the mode-`mode` unfolding with the sample index slowest."""
+    out = layout
+    for q, w in enumerate(projections):
+        if q != mode:
+            out = _contract_first(out, w)
+    return out
+
+
 def _project_stack(stack: np.ndarray, projections, skip: int | None = None) -> np.ndarray:
     """Contract axis q + 1 of `stack`, a stack of tensors, with
-    projections[q]^T for every mode q except `skip`. Each mode copies the
-    stack at most once, to move axis q + 1 to the front. Unchecked:
-    callers pass validated float64 arrays."""
-    out = stack
-    for q, w in enumerate(projections):
-        if q != skip:
-            moved = np.moveaxis(out, q + 1, 0)
-            rest = moved.shape[1:]
-            b = moved.reshape(moved.shape[0], math.prod(rest))
-            out = np.moveaxis(_gemm_tn(w, b).reshape((w.shape[1],) + rest), 0, q + 1)
-    return out
+    projections[q]^T for every mode q except `skip`. The result keeps the
+    stack's axis order; it is a transposed view of the last product. The
+    stack is copied at most once: to C order for a full projection, to
+    its mode-`skip` layout otherwise. Unchecked: callers pass validated
+    float64 arrays."""
+    if all(q == skip for q in range(len(projections))):
+        return stack  # no mode to contract
+    if skip is None:
+        out = np.ascontiguousarray(stack)
+        for w in reversed(projections):
+            out = _contract_last(out, w)
+        return np.moveaxis(out, -1, 0)
+    out = _project_layout(_mode_layout(stack, skip), projections, skip)
+    return np.moveaxis(out, (0, 1), (skip + 1, 0))
 
 
 def multi_project(tensor, projections) -> np.ndarray:

@@ -679,3 +679,25 @@ def test_eval_nonfinite_model_file_is_format_error(tmp_path, capsys, name):
     )
     assert code == 1
     assert_one_error_line_naming(capsys, str(path))
+
+
+def test_bench_scores_each_model_repeats_times(tmp_path, monkeypatch):
+    import mcsda.cli as cli
+
+    calls = {}
+    score = cli.score_batch
+
+    def counting(model, samples):
+        calls[model.method] = calls.get(model.method, 0) + 1
+        return score(model, samples)
+
+    monkeypatch.setattr(cli, "score_batch", counting)
+    report_path = tmp_path / "bench.json"
+    assert run(
+        "bench", "--dims", "4x3", "--subspace", "2x2", "--n", "12",
+        "--repeats", "3", "--max-iter", "2", "--report", str(report_path),
+    ) == 0
+    assert calls == {"csda": 3, "mcsda": 3}
+    stored = json.loads(report_path.read_text())
+    assert stored["csda_scores_per_s"] > 0
+    assert stored["mcsda_scores_per_s"] > 0

@@ -560,3 +560,49 @@ def test_converged_fit_logs_no_warning(rng, caplog):
         model = fit_mcsda(ds, 1, TrainConfig(subspace_dims=2, max_iter=10))
     assert model.fit_report.converged
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def _binary(ds, positive):
+    return LabeledDataset(
+        samples=ds.samples, labels=np.where(ds.labels == positive, 1, 2), n_classes=2
+    )
+
+
+def _fit_engine(ds, method, positive, sub, max_iter, reg_lambda):
+    cfg = TrainConfig(subspace_dims=sub, max_iter=max_iter, reg_lambda=reg_lambda)
+    if positive is None:
+        return fit_mda(ds, cfg)
+    return fit_class_specific(ds, method, positive, cfg)
+
+
+def _criterion(ds, method, positive, projections):
+    if method == "mcsda":
+        return class_specific_objective(ds, positive, projections)
+    return multiclass_objective(ds if positive is None else _binary(ds, positive), projections)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 5])
+@pytest.mark.parametrize("dims", [(6, 5), (5, 4, 3), (4, 3, 3, 2)])
+@pytest.mark.parametrize("method,positive", [("mda", None), ("mda", 2), ("mcsda", 2)])
+def test_objective_trace_is_the_criterion_of_the_returned_projections(
+    rng, method, positive, dims, max_iter
+):
+    # the last sweep's entry is the criterion the solver optimized,
+    # evaluated at the projections the fit returns
+    ds = separable(rng, dims=dims, n_classes=3, per_class=8)
+    model = _fit_engine(ds, method, positive, (2,) * len(dims), max_iter, 0.01)
+    assert model.fit_report.objective_trace[-1] == pytest.approx(
+        _criterion(ds, method, positive, model.projections), rel=1e-10
+    )
+
+
+def test_objective_trace_with_a_nearly_singular_denominator(rng):
+    # four positives and a tiny ridge: the in-class scatter of the last
+    # mode is nearly singular on the span of its solution, where
+    # tr(W^T B W) loses most of its digits to cancellation
+    ds = random_dataset(rng, dims=(12, 10), n_classes=6, per_class=4)
+    for c in (1, 2, 3):
+        model = _fit_engine(ds, "mcsda", c, (8, 8), 5, 1e-6)
+        assert model.fit_report.objective_trace[-1] == pytest.approx(
+            class_specific_objective(ds, c, model.projections), rel=1e-10
+        )

@@ -8,6 +8,8 @@ cross-check, not a reimplementation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsda import (
     LabeledDataset,
@@ -19,8 +21,8 @@ from mcsda import (
     mode_product,
     unfold,
 )
-from mcsda.discriminant import _scatter_pair
-from mcsda.tensor_ops import _project_stack
+from mcsda.discriminant import _gram, _scatter_pair
+from mcsda.tensor_ops import _mode_layout, _project_layout, _project_stack
 
 from conftest import assert_scatter_valid, random_dataset
 
@@ -335,3 +337,54 @@ def test_scatter_pair_bit_identical_to_matmul(rng, dims):
                 want_den = _gram_by_matmul(stack[1::3], ws, mode)
                 assert np.array_equal(pair.numerator, want_num), (name, mode)
                 assert np.array_equal(pair.denominator, want_den), (name, mode)
+
+
+# ---------------------------------------------------------------------------
+# the fit engine's path: a stack laid out once per mode, then contracted
+
+
+def _layout_scatter(stack, ws, mode):
+    """The mode scatter as the fit engine builds it each sweep."""
+    h = _project_layout(_mode_layout(stack, mode), ws, mode)
+    return _gram(h.reshape(h.shape[0], -1))
+
+
+def scatter_by_einsum(stack, ws, mode):
+    """Reference: project every other mode and sum the outer products of
+    the mode-`mode` fibers, all in one einsum each."""
+    letters = "abcdefgh"
+    k = stack.ndim - 1
+    terms = ["z" + "".join(letters[q].upper() for q in range(k))]
+    out = ["z"] + [letters[q] for q in range(k)]
+    for q, w in enumerate(ws):
+        if q != mode:
+            terms.append(letters[q].upper() + letters[q])
+    out[mode + 1] = letters[mode].upper()
+    operands = [stack] + [w for q, w in enumerate(ws) if q != mode]
+    p = np.einsum(",".join(terms) + "->" + "".join(out), *operands)
+    u = np.moveaxis(p, mode + 1, 0).reshape(stack.shape[mode + 1], -1)
+    return np.einsum("im,jm->ij", u, u)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    n=st.integers(0, 5),
+    layout=st.sampled_from(["C", "F", "sliced"]),
+    data=st.data(),
+)
+def test_layout_scatter_matches_einsum(dims, n, layout, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(2 * n, *dims))
+    stack = {"C": base[:n], "F": np.asfortranarray(base[:n]), "sliced": base[::2]}[layout]
+    sub = [data.draw(st.integers(1, i)) for i in dims]
+    ws = [rng.normal(size=(i, j)) for i, j in zip(dims, sub)]
+    for mode in range(len(dims)):
+        got = _layout_scatter(stack, ws, mode)
+        want = scatter_by_einsum(stack, ws, mode)
+        assert got.shape == (dims[mode], dims[mode])
+        atol = 1e-12 * np.abs(want).max(initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+        assert np.array_equal(got, got.T)
+        # the public scatter functions lay the stack out per call: same bits
+        assert np.array_equal(got, _scatter_pair(stack, stack, ws, mode).numerator)

@@ -1,6 +1,7 @@
 """Unfold/fold/mode-product tests against definition-level oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,3 +281,21 @@ def test_project_stack_matches_einsum(dims, n, layouts, data):
         np.testing.assert_allclose(
             multi_project(stack[0], ws), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
         )
+
+
+def test_full_projection_copies_no_stack():
+    # every mode product is one gemm on a free reshape, so projecting a
+    # C-ordered stack allocates about its first-mode output (7/30 of the
+    # stack here) and never a copy of the stack
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(200, 40, 30))
+    ws = [rng.normal(size=(40, 7)), rng.normal(size=(30, 7))]
+    _project_stack(stack, ws)
+    tracemalloc.start()
+    try:
+        out = _project_stack(stack, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (200, 7, 7)
+    assert peak < stack.nbytes / 2
