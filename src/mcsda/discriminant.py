@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dgesdd
 
 from .datasets import LabeledDataset
 from .linalg import ScatterPair, solve_ratio_trace
@@ -191,12 +192,18 @@ def _check_positive(positive: int, n_classes: int) -> None:
         raise ValueError(f"positive class {positive} outside 1..{n_classes}")
 
 
-def class_statistics(data: LabeledDataset, positive: int | None = None) -> ClassStatistics:
-    """Class means, counts and total mean; errors on any empty class."""
+def _nonempty_counts(data: LabeledDataset) -> np.ndarray:
+    """Per-class sample counts; errors on the first empty class."""
     counts = data.class_counts()
     for label, count in enumerate(counts, start=1):
         if count == 0:
             raise ValueError(f"class {label} is empty")
+    return counts
+
+
+def class_statistics(data: LabeledDataset, positive: int | None = None) -> ClassStatistics:
+    """Class means, counts and total mean; errors on any empty class."""
+    counts = _nonempty_counts(data)
     if positive is not None:
         _check_positive(positive, data.n_classes)
     dims = data.dims
@@ -214,15 +221,17 @@ def class_statistics(data: LabeledDataset, positive: int | None = None) -> Class
 
 
 def _class_specific_stacks(data: LabeledDataset, positive: int):
-    """Statistics, then the out-of-class (numerator) and in-class
-    (denominator) stacks, every sample centered on the positive class
-    mean."""
-    stats = class_statistics(data, positive=positive)
+    """The positive class mean, then the out-of-class (numerator) and
+    in-class (denominator) stacks, every sample centered on that mean.
+    No other class mean is needed, so none is computed."""
+    _nonempty_counts(data)
+    _check_positive(positive, data.n_classes)
     pos_mask = data.labels == positive
     if pos_mask.all():
         raise ValueError("every sample belongs to the positive class")
-    centered = data.samples - stats.positive_mean
-    return stats, centered[~pos_mask], centered[pos_mask]
+    positive_mean = data.samples[pos_mask].mean(axis=0)
+    centered = data.samples - positive_mean
+    return positive_mean, centered[~pos_mask], centered[pos_mask]
 
 
 def _multiclass_stacks(data: LabeledDataset, positive: int | None = None):
@@ -362,16 +371,21 @@ def _subspace_projector(w: np.ndarray, strict: bool = False) -> np.ndarray:
     being truncated to its actual column space.
     """
     w = np.asarray(w, dtype=np.float64)
-    u, s, _ = np.linalg.svd(w, full_matrices=False)
-    tol = max(w.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
-    rank = int(np.count_nonzero(s > tol))
+    rank = 0
+    if w.size:
+        # the thin SVD that np.linalg.svd computes, on scipy's LAPACK;
+        # the singular values come sorted, largest first
+        u, s, _, info = dgesdd(w, compute_uv=1, full_matrices=0)
+        if info != 0:
+            raise LinAlgError(f"SVD of a projection matrix failed (dgesdd info {info})")
+        tol = max(w.shape) * np.finfo(np.float64).eps * s[0]
+        rank = int(np.count_nonzero(s > tol))
     if strict and rank < w.shape[1]:
         raise LinAlgError(
             f"projection matrix of shape {w.shape} is rank-deficient "
             f"(numerical rank {rank})"
         )
-    basis = u[:, :rank]
-    return basis @ basis.T
+    return _gram(u[:, :rank]) if rank else np.zeros((w.shape[0],) * 2)
 
 
 def _projector_distance(prev, curr) -> float:
@@ -506,9 +520,11 @@ def _fit(
             raise ValueError(
                 f"{method} is class-specific: pass --positive-class or --one-vs-rest"
             )
-        stats, num, den = _class_specific_stacks(data, positive)
+        reference_mean, num, den = _class_specific_stacks(data, positive)
+        class_means = None
     else:
         stats, num, den = _multiclass_stacks(data, positive)
+        reference_mean, class_means = stats.positive_mean, stats.class_means
         n_classes = len(stats.counts)
         if n_classes < 2:
             raise ValueError(f"{method} needs at least two classes")
@@ -549,11 +565,11 @@ def _fit(
         projections=ws,
         input_dims=data.dims,
         subspace_dims=subspace,
-        reference_mean=stats.positive_mean,
+        reference_mean=reference_mean,
         positive_class=positive,
         config=config,
         fit_report=report,
-        class_means=None if method in _CLASS_SPECIFIC else stats.class_means,
+        class_means=class_means,
     )
 
 

@@ -5,24 +5,27 @@ given a numerator scatter A and a denominator scatter B, find the top-d
 eigenpairs of A w = value * (B + ridge * I) w. The regularized
 denominator is positive definite for ridge > 0, so the pencil is a
 symmetric-definite generalized eigenproblem, solved for its top d
-eigenpairs only by one LAPACK call through ``scipy.linalg.eigh``.
+eigenpairs only by one call of ``dsygvx`` from ``scipy.linalg.lapack``:
+the routine and arguments ``scipy.linalg.eigh(A, B, subset_by_index=...)``
+uses, without its Python layers, which cost more than the LAPACK work
+of a fit's small per-mode pencils.
 
 That call runs on the OpenBLAS build bundled with scipy, whose thread
-pool is separate from numpy's. The fit engine therefore builds the
-scatters and projections it solves with ``scipy.linalg.blas`` too
-(``dsyrk`` in ``discriminant._gram``, one ``dgemm`` per mode product in
-``tensor_ops``), so that a fit keeps one pool busy instead of two pools
-competing for the same cores.
+pool is separate from numpy's. The fit engine therefore runs the rest of
+its sweeps on scipy's BLAS and LAPACK too (``dsyrk`` in
+``discriminant._gram``, one ``dgemm`` per mode product in ``tensor_ops``,
+``dgesdd`` in ``discriminant._subspace_projector``), so that a fit keeps
+one pool busy instead of two pools competing for the same cores.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import eigh
+from scipy.linalg.lapack import dsygvx, dsygvx_lwork
 
 __all__ = ["ScatterPair", "EigenBasis", "regularize", "solve_ratio_trace"]
 
@@ -77,37 +80,54 @@ def regularize(s, ridge: float) -> np.ndarray:
     return s + float(ridge) * np.eye(s.shape[0])
 
 
+@lru_cache(maxsize=None)
+def _dsygvx_lwork(n: int) -> int:
+    """The dsygvx workspace ``eigh`` queries; it depends on n alone."""
+    return int(dsygvx_lwork(n, uplo="L")[0])
+
+
 def solve_ratio_trace(pair: ScatterPair, d: int, ridge: float = 0.0) -> EigenBasis:
     """Top-d eigenpairs of numerator w = value (denominator + ridge I) w.
 
     LAPACK reduces the pencil through the Cholesky factor of the
     regularized denominator and computes only the top d eigenpairs; the
-    returned columns are B-orthonormal.
+    returned columns are B-orthonormal. The lower triangles of both
+    matrices are read; neither input is modified.
 
-    Raises ValueError when d is outside 1..n and LinAlgError naming the
-    failing pivot when the regularized denominator is not positive
-    definite.
+    Raises ValueError when d is outside 1..n or either matrix holds NaN
+    or inf, and LinAlgError naming the failing pivot when the
+    regularized denominator is not positive definite.
     """
     n = pair.size
     d = int(d)
     if not 1 <= d <= n:
         raise ValueError(f"subspace dimension {d} out of range 1..{n}")
-    b = regularize(pair.denominator, ridge)
-    try:
-        values, vectors = eigh(pair.numerator, b, subset_by_index=[n - d, n - 1])
-    except LinAlgError as exc:
-        # scipy gives the failing Cholesky pivot as the order of the
-        # leading minor of B that is not positive definite
-        pivot = re.search(r"leading minor of order (\d+)", str(exc))
-        if pivot is None:
-            raise
+    a = pair.numerator
+    # a private Fortran-ordered copy, regularized on its diagonal, that
+    # LAPACK may overwrite
+    b = np.array(pair.denominator, order="F")
+    b.flat[:: n + 1] += float(ridge)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("scatter matrices must not contain NaN or inf")
+    values, vectors, _, _, info = dsygvx(
+        a, b, itype=1, jobz="V", range="I", uplo="L",
+        il=n - d + 1, iu=n, lwork=_dsygvx_lwork(n), overwrite_b=1,
+    )
+    if info > n:
+        # info - n is the order of the leading minor of B that is not
+        # positive definite
         raise LinAlgError(
             "Cholesky factorization of the regularized denominator failed "
-            f"at pivot {pivot[1]}; it is not positive definite"
-        ) from exc
-    # eigh sorts ascending; flip to non-increasing
-    values = values[::-1].copy()
+            f"at pivot {info - n}; it is not positive definite"
+        )
+    if info > 0:
+        raise LinAlgError(f"{info} eigenvectors of the pencil failed to converge")
+    if info < 0:
+        raise LinAlgError(f"illegal value in argument {-info} of dsygvx")
+    # LAPACK returns exactly the d requested pairs, sorted ascending;
+    # flip to non-increasing, then make each column's largest-magnitude
+    # entry nonnegative
+    values = values[d - 1 :: -1].copy()
     vectors = vectors[:, ::-1].copy()
-    flip = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(d)] < 0
-    vectors[:, flip] *= -1.0
+    vectors *= np.copysign(1.0, vectors[np.abs(vectors).argmax(axis=0), np.arange(d)])
     return EigenBasis(vectors=vectors, values=values)

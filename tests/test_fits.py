@@ -5,7 +5,11 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import subspace_angles
+
+import mcsda.discriminant
+import mcsda.linalg
 
 from mcsda import (
     DiscriminantModel,
@@ -29,6 +33,8 @@ from mcsda import (
     synth_generate,
     SynthSpec,
 )
+
+from mcsda.discriminant import _subspace_projector
 
 from conftest import random_dataset
 
@@ -361,6 +367,61 @@ def test_convergence_metric_rank_deficient_raises():
     flat = np.ones((3, 2))
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
         convergence_metric([flat], [flat])
+
+
+def svd_projector(w):
+    """The np.linalg.svd form of the truncated column-space projector."""
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    rank = int(np.count_nonzero(s > max(w.shape) * np.finfo(float).eps * s.max()))
+    return u[:, :rank] @ u[:, :rank].T
+
+
+@pytest.mark.parametrize("shape", [(10, 4), (8, 4), (6, 3), (40, 7), (5, 5), (7, 1)])
+def test_subspace_projector_matches_numpy_svd(rng, shape):
+    m, n = shape
+    cases = [
+        np.ones(shape),  # the all-ones init: rank one
+        rng.normal(size=shape),  # full rank
+        rng.normal(size=(m, 1)) @ rng.normal(size=(1, n)),  # rank one
+        rng.normal(size=(m, max(n - 1, 1))) @ rng.normal(size=(max(n - 1, 1), n)),
+    ]
+    for w in cases:
+        got = _subspace_projector(w)
+        assert np.abs(got - svd_projector(w)).max() <= 1e-14
+        # a symmetric idempotent of the column space's rank
+        assert np.array_equal(got, got.T)
+        assert np.abs(got @ got - got).max() <= 1e-13
+
+
+def test_subspace_projector_of_zero_and_empty_matrices():
+    # rank zero: the projector onto {0}; an empty matrix never reaches LAPACK
+    assert np.array_equal(_subspace_projector(np.zeros((4, 2))), np.zeros((4, 4)))
+    assert np.array_equal(_subspace_projector(np.zeros((3, 0))), np.zeros((3, 3)))
+    assert convergence_metric([np.zeros((3, 0))], [np.zeros((3, 0))]) == 0.0
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the fit engine called numpy's SVD or scipy.linalg.eigh")
+
+
+def test_fits_use_scipy_lapack_only(rng, monkeypatch):
+    # every eigensolve and projector of a fit is one call into
+    # scipy.linalg.lapack; neither eigh's Python layers nor numpy's own
+    # LAPACK (and with it numpy's BLAS pool) may run in the sweep loop
+    monkeypatch.setattr(scipy.linalg, "eigh", _forbidden)
+    monkeypatch.setattr(np.linalg, "svd", _forbidden)
+    for module in (mcsda.linalg, mcsda.discriminant):  # names bound at import
+        for name in ("eigh", "svd"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _forbidden)
+    ds = separable(rng, dims=(5, 4, 3), n_classes=3, per_class=8)
+    cfg = TrainConfig(subspace_dims=(2, 2, 2), max_iter=3)
+    mc = fit_mcsda(ds, 1, cfg)
+    md = fit_mda(ds, cfg)
+    for model in (mc, md):
+        assert model.fit_report.iterations_run >= 1
+        assert len(model.projections) == 3
+    assert convergence_metric(mc.projections, md.projections) >= 0.0
 
 
 def test_convergence_metric_shape_checks():

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
-from scipy.linalg import subspace_angles
+from scipy.linalg import eigh, subspace_angles
 
+import mcsda.linalg
 from mcsda import EigenBasis, ScatterPair, regularize, solve_ratio_trace
 
 
@@ -151,3 +154,62 @@ def test_contract_on_many_random_pairs(rng):
         assert basis.vectors.shape == (n, d)
         assert basis.values.shape == (d,)
         assert_basis_contract(pair, basis, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# the direct LAPACK call against scipy.linalg.eigh
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(1, 40),
+    ridge=st.sampled_from([0.0, 1e-2, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_solve_bit_identical_to_eigh(n, ridge, seed, data):
+    # the solver calls the LAPACK routine eigh picks for this problem,
+    # with the same arguments: values and vectors must match bit for bit
+    rng = np.random.default_rng(seed)
+    d = data.draw(st.integers(1, n), label="d")
+    num = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+    den = random_psd(rng, n) + 1e-3 * np.eye(n)
+    num_before, den_before = num.copy(), den.copy()
+    basis = solve_ratio_trace(ScatterPair(numerator=num, denominator=den), d, ridge)
+    values, vectors = eigh(num, den + ridge * np.eye(n), subset_by_index=[n - d, n - 1])
+    values, vectors = values[::-1], vectors[:, ::-1].copy()
+    flip = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(d)] < 0
+    vectors[:, flip] *= -1.0
+    assert np.array_equal(basis.values, values)
+    assert np.array_equal(basis.vectors, vectors)
+    # neither input is written to
+    assert np.array_equal(num, num_before)
+    assert np.array_equal(den, den_before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["numerator", "denominator"])
+def test_non_finite_scatter_raises(bad, where):
+    mats = {"numerator": np.eye(3), "denominator": np.eye(3)}
+    mats[where][1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        solve_ratio_trace(ScatterPair(**mats), 2, ridge=0.01)
+
+
+def test_non_finite_ridge_raises():
+    pair = ScatterPair(numerator=np.eye(3), denominator=np.eye(3))
+    with pytest.raises(ValueError, match="NaN or inf"):
+        solve_ratio_trace(pair, 2, ridge=np.inf)
+
+
+def test_unconverged_eigenvectors_raise(monkeypatch):
+    # dsygvx reports 0 < info <= n when that many eigenvectors failed to
+    # converge; the solver must not return them
+    def fake_dsygvx(a, b, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros((n, n)), n, np.zeros(n, dtype=np.int32), 2
+
+    monkeypatch.setattr(mcsda.linalg, "dsygvx", fake_dsygvx)
+    pair = ScatterPair(numerator=np.eye(3), denominator=np.eye(3))
+    with pytest.raises(LinAlgError, match="2 eigenvectors"):
+        solve_ratio_trace(pair, 2, ridge=0.01)

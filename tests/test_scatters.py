@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from mcsda import (
     LabeledDataset,
+    TrainConfig,
     class_statistics,
     csda_scatters,
+    fit_class_specific,
     lda_scatters,
     mda_mode_scatters,
     mode_k_class_specific_scatters,
@@ -141,6 +143,28 @@ def test_class_statistics_bad_positive(rng):
     ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=3)
     with pytest.raises(ValueError, match="positive class"):
         class_statistics(ds, positive=5)
+
+
+def test_class_specific_reference_is_class_statistics_mean(rng):
+    # class-specific fits average only the positive class; the scoring
+    # reference must stay bit-identical to class_statistics' positive mean
+    ds = random_dataset(rng, dims=(4, 3), n_classes=4, per_class=5)
+    for method, sub in (("csda", 3), ("mcsda", (2, 2))):
+        for positive in (1, 3):
+            model = fit_class_specific(
+                ds, method, positive, TrainConfig(subspace_dims=sub, max_iter=2)
+            )
+            expected = class_statistics(ds, positive).positive_mean
+            assert np.array_equal(model.reference_mean, expected)
+
+
+def test_class_specific_stacks_check_every_class(rng):
+    empty = LabeledDataset(samples=np.zeros((3, 2)), labels=np.array([1, 3, 3]), n_classes=3)
+    with pytest.raises(ValueError, match="class 2 is empty"):
+        csda_scatters(empty, 1)
+    ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=3)
+    with pytest.raises(ValueError, match="positive class 5 outside"):
+        csda_scatters(ds, 5)
 
 
 # ---------------------------------------------------------------------------
