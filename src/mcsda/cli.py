@@ -33,6 +33,7 @@ from .discriminant import (
     VECTOR_METHODS,
     TrainConfig,
     _fit,
+    _score_matrix,
     fit_mcsda,
     fit_csda,
     fit_one_vs_rest,
@@ -175,11 +176,10 @@ def cmd_eval(args) -> int:
                 )
         per_class_ap: dict[int, float] = {}
         support: dict[int, int] = {}
-        for model in models:
-            flags = data.labels == model.positive_class
-            scores = score_batch(model, data.samples)
-            per_class_ap[model.positive_class] = average_precision(scores, flags)
-            support[model.positive_class] = int(flags.sum())
+        for c, scores in zip(classes, _score_matrix(models, data.samples)):
+            flags = data.labels == c
+            per_class_ap[c] = average_precision(scores, flags)
+            support[c] = int(flags.sum())
         report = verification_report(per_class_ap, support)
     else:
         if classes != list(range(1, data.n_classes + 1)):

@@ -13,7 +13,9 @@ goes through the one codec here: ``_write_array``, ``_read_array``
 (size-checked before reading), ``_read_json`` (version-checked) and
 ``_manifest_entries`` (a missing or mistyped entry is a format error
 naming the manifest). A stack such as ``data.bin`` is one array with the
-count as its last axis.
+count as its last axis. ``load_dataset`` reads it straight into one
+array and returns its (count, *dims) view: the samples lie in file
+order, each contiguous and Fortran-ordered, and are not C-contiguous.
 
 All randomness (splits, synthetic data) goes through numpy's default
 PCG64 ``Generator`` seeded explicitly, so results are reproducible from
@@ -257,35 +259,41 @@ def _read_manifest(root: Path) -> DatasetManifest:
 def _read_labels(path: Path, count: int, n_classes: int) -> np.ndarray:
     if not path.exists():
         raise FileNotFoundError(f"missing label file {path}")
-    lines = path.read_text().splitlines()
-    rows = [line.strip() for line in lines if line.strip()]
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    rows = [line for line in lines if line]
     if len(rows) != count:
         raise DatasetFormatError(
             f"{path}: has {len(rows)} labels, manifest expects {count}"
         )
-    labels = np.empty(count, dtype=np.int64)
-    for i, row in enumerate(rows):
+    try:
+        labels = np.array(rows, dtype=np.int64)  # parses each row as int() does
+        bad = np.flatnonzero((labels < 1) | (labels > n_classes))
+    except (ValueError, OverflowError):
+        # some row is not an int64: the loop below names the first one
+        labels, bad = None, range(count)
+    for i in bad:
         try:
-            value = int(row)
-        except ValueError as exc:
-            raise DatasetFormatError(
-                f"{path}: line {i + 1}: not an integer: {row!r}"
-            ) from exc
-        if not 1 <= value <= n_classes:
-            raise DatasetFormatError(
-                f"{path}: line {i + 1}: label {value} outside 1..{n_classes}"
-            )
-        labels[i] = value
+            value = int(rows[i])
+            problem = f"label {value} outside 1..{n_classes}"
+        except ValueError:
+            value, problem = None, f"not an integer: {rows[i]!r}"
+        if value is None or not 1 <= value <= n_classes:
+            # blank lines are skipped but counted: name the file's own line
+            number = [n for n, line in enumerate(lines, start=1) if line][i]
+            raise DatasetFormatError(f"{path}: line {number}: {problem}")
     return labels
 
 
 def load_dataset(path) -> LabeledDataset:
-    """Load a dataset directory, validating manifest, bytes and labels."""
+    """Load a dataset directory, validating manifest, bytes and labels.
+
+    The samples are the (count, *dims) view of the array ``data.bin`` is
+    read into, in file order: no copy is made."""
     root = Path(path)
     manifest = _read_manifest(root)
     data_path = root / manifest.data_file
     stacked = _read_array(data_path, manifest.dims + (manifest.count,))
-    samples = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
+    samples = np.moveaxis(stacked, -1, 0)
     labels = _read_labels(root / manifest.label_file, manifest.count, manifest.n_classes)
     try:
         return LabeledDataset(samples=samples, labels=labels, n_classes=manifest.n_classes)

@@ -20,9 +20,12 @@ every method with or without a positive class: given one, ``lda``/``mda``
 build the stacks of the binary positive-vs-rest problem and keep the
 positive class mean as the scoring reference. Trained models score a
 sample by inverse distance to the projected reference mean, 1 / (1 + d).
-``score_batch`` is the one scoring routine: it projects a whole
-(N, *dims) stack and the reference mean once each. ``similarity_score``
-and ``project`` are its one-sample forms.
+``_score_matrix`` is the one scoring routine: it scores a whole
+(N, *dims) stack under a set of models with one pass over the stack,
+contracting it from its fastest-varying axis as it lies in memory, so
+that neither a C-ordered stack nor one loaded in file order is copied.
+``score_batch`` is its one-model case and ``similarity_score`` its
+one-sample form; ``project`` projects one sample.
 """
 
 from __future__ import annotations
@@ -42,10 +45,13 @@ from .datasets import LabeledDataset
 from .linalg import ScatterPair, solve_ratio_trace
 from .tensor_ops import (
     _check_projections,
+    _contract_last,
     _gemm_tn,
     _mode_layout,
     _project_layout,
     _project_stack,
+    _sample_layout,
+    multi_project,
 )
 
 __all__ = [
@@ -229,9 +235,12 @@ def _class_specific_stacks(data: LabeledDataset, positive: int):
     pos_mask = data.labels == positive
     if pos_mask.all():
         raise ValueError("every sample belongs to the positive class")
-    positive_mean = data.samples[pos_mask].mean(axis=0)
-    centered = data.samples - positive_mean
-    return positive_mean, centered[~pos_mask], centered[pos_mask]
+    den = data.samples[pos_mask]
+    positive_mean = den.mean(axis=0)
+    num = data.samples[~pos_mask]
+    num -= positive_mean
+    den -= positive_mean
+    return positive_mean, num, den
 
 
 def _multiclass_stacks(data: LabeledDataset, positive: int | None = None):
@@ -252,7 +261,8 @@ def _multiclass_stacks(data: LabeledDataset, positive: int | None = None):
     between = (stats.class_means - stats.total_mean) * np.sqrt(
         stats.counts
     ).reshape(shape)
-    within = data.samples - stats.class_means[data.labels - 1]
+    within = stats.class_means[data.labels - 1]
+    np.subtract(data.samples, within, out=within)
     return stats, between, within
 
 
@@ -630,21 +640,6 @@ def fit_one_vs_rest(
 # scoring
 
 
-def _project(model: DiscriminantModel, stack: np.ndarray) -> np.ndarray:
-    """Project a validated float64 (N, *input_dims) stack: (N, d) rows
-    for vector methods, (N, *subspace_dims) tensors for tensor methods.
-
-    The vector projection reorders W's rows from the Fortran flattening
-    of a sample to the C flattening of the stack's rows, so that W^T
-    applies to a C-ordered stack as it lies in memory, without a copy."""
-    if model.method in VECTOR_METHODS:
-        dims = stack.shape[1:]
-        flat = math.prod(dims)
-        w = model.projections[0].reshape(dims + (-1,), order="F").reshape(flat, -1)
-        return _gemm_tn(w, stack.reshape(stack.shape[0], flat).T).T
-    return _project_stack(stack, model.projections)
-
-
 def _check_input_dims(model: DiscriminantModel, shape) -> None:
     if tuple(shape) != tuple(model.input_dims):
         raise ValueError(
@@ -661,7 +656,103 @@ def project(model: DiscriminantModel, sample) -> np.ndarray:
     """
     s = np.asarray(sample, dtype=np.float64)
     _check_input_dims(model, s.shape)
-    return _project(model, s[np.newaxis])[0]
+    if model.method in VECTOR_METHODS:
+        return _gemm_tn(model.projections[0], s.reshape(-1, 1, order="F"))[:, 0]
+    return multi_project(s, model.projections)
+
+
+def _scoring_chain(model: DiscriminantModel, order) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The matrices that project a stack laid out in `order` (see
+    ``tensor_ops._sample_layout``), in the order they contract it from
+    its fastest axis: first the one over the fastest mode, then those
+    of the other modes. A vector model has a single matrix over the whole
+    sample; its rows are permuted from the Fortran flattening of a
+    sample to the flattening of the layout, which is a free view when
+    the layout is the file order."""
+    if model.method in VECTOR_METHODS:
+        dims = tuple(model.input_dims)
+        w = model.projections[0].reshape(dims + (-1,), order="F")
+        w = w.transpose((*order, len(dims)))
+        return w.reshape(-1, w.shape[-1]), []
+    ws = model.projections
+    return ws[order[-1]], [ws[q] for q in reversed(order[:-1])]
+
+
+def _project_chains(layout: np.ndarray, chains, slab: int):
+    """Project a C-contiguous (N, ...) stack layout with every chain,
+    `slab` samples at a time. Per slab, one dgemm contracts the fastest
+    axis (the whole sample, for a vector model) against the
+    column-stacked first matrices of every chain of that size, then each
+    chain contracts its other modes on its own contiguous block of that
+    product. Yields (first sample of the slab, chain index, projection),
+    the projection as a (prod subspace dims, samples in the slab)
+    matrix."""
+    groups: dict[int, list[int]] = {}
+    for i, (first, _) in enumerate(chains):
+        groups.setdefault(first.shape[0], []).append(i)
+    stacked = {}
+    for size, members in groups.items():
+        firsts = [chains[i][0] for i in members]
+        # Fortran order, so that dgemm takes the stacked matrix uncopied
+        stacked[size] = np.empty((size, sum(w.shape[1] for w in firsts)), order="F")
+        np.concatenate(firsts, axis=1, out=stacked[size])
+    for start in range(0, layout.shape[0], slab):
+        part = layout[start : start + slab]
+        n = part.shape[0]
+        for size, members in groups.items():
+            product = _contract_last(part.reshape(-1, size), stacked[size])
+            lo = 0
+            for i in members:
+                first, rest = chains[i]
+                block = product[lo : lo + first.shape[1]]
+                lo += first.shape[1]
+                block = block.reshape((first.shape[1], n) + part.shape[1 : 1 + len(rest)])
+                for w in rest:
+                    block = _contract_last(block, w)
+                yield start, i, block.reshape(math.prod(block.shape[:-1]), n)
+            del product  # before the next one is made
+
+
+def _score_matrix(models, samples) -> np.ndarray:
+    """Similarity scores of a (N, *input_dims) stack under every model,
+    as a (len(models), N) matrix; the one scoring routine.
+
+    Each score is 1 / (1 + d), where d is the Frobenius distance between
+    the projected sample and the model's projected reference mean. The
+    stack is contracted as it lies in memory, from its fastest axis, for
+    all models at once (:func:`_project_chains`): a C-ordered stack and
+    one read in file order are not copied, and the stack is read once.
+    The reference means are projected the same way, as a stack of their
+    own.
+    """
+    stack = np.asarray(samples, dtype=np.float64)
+    for model in models:
+        if model.reference_mean is None:
+            raise RuntimeError(
+                "model has no reference mean; train class-specifically or "
+                "one-vs-rest to enable scoring"
+            )
+        _check_input_dims(model, np.shape(model.reference_mean))
+        _check_input_dims(model, stack.shape[1:])
+    order, layout = _sample_layout(stack)
+    chains = [_scoring_chain(model, order) for model in models]
+    _, reference_layout = _sample_layout(
+        np.stack([m.reference_mean for m in models], dtype=np.float64), order
+    )
+    references = [None] * len(models)
+    for _, i, projected in _project_chains(reference_layout, chains, len(models)):
+        references[i] = projected[:, i : i + 1]
+    # the first contraction's product can be several times the size of
+    # the stack: take the stack in slabs whose product is at most half
+    # its size, so that scoring holds less beside the stack than a copy
+    size = math.prod(stack.shape[1:])
+    product_per_sample = sum(first.shape[1] * size // first.shape[0] for first, _ in chains)
+    slab = max(1, stack.size // (2 * product_per_sample))
+    scores = np.empty((len(models), stack.shape[0]))
+    for start, i, projected in _project_chains(layout, chains, slab):
+        distance = np.linalg.norm(projected - references[i], axis=0)
+        scores[i, start : start + projected.shape[1]] = 1.0 / (1.0 + distance)
+    return scores
 
 
 def score_batch(model: DiscriminantModel, samples) -> np.ndarray:
@@ -671,18 +762,7 @@ def score_batch(model: DiscriminantModel, samples) -> np.ndarray:
     the projected sample and the projected reference mean. The stack and
     the reference mean are each projected once.
     """
-    if model.reference_mean is None:
-        raise RuntimeError(
-            "model has no reference mean; train class-specifically or "
-            "one-vs-rest to enable scoring"
-        )
-    reference = np.asarray(model.reference_mean, dtype=np.float64)
-    stack = np.asarray(samples, dtype=np.float64)
-    _check_input_dims(model, reference.shape)
-    _check_input_dims(model, stack.shape[1:])
-    diff = _project(model, stack) - _project(model, reference[np.newaxis])
-    rows = diff.reshape(stack.shape[0], math.prod(diff.shape[1:]))
-    return 1.0 / (1.0 + np.linalg.norm(rows, axis=1))
+    return _score_matrix([model], samples)[0]
 
 
 def similarity_score(model: DiscriminantModel, sample) -> float:

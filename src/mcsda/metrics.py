@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discriminant import DiscriminantModel, score_batch
+from .discriminant import DiscriminantModel, _score_matrix
 
 __all__ = [
     "MetricReport",
@@ -184,7 +184,7 @@ def _predict_stack(models: list[DiscriminantModel], samples) -> np.ndarray:
     if any(model.positive_class is None for model in models):
         raise ValueError("every one-vs-rest model needs a positive_class")
     ordered = sorted(models, key=lambda m: m.positive_class)
-    scores = np.stack([score_batch(model, samples) for model in ordered])
+    scores = _score_matrix(ordered, samples)
     classes = np.array([model.positive_class for model in ordered], dtype=np.int64)
     return classes[np.argmax(scores, axis=0)]
 

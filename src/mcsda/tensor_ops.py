@@ -11,14 +11,17 @@ mode-0 unfolding of a Fortran-contiguous array is a plain reshape, and
 holds for every matrix w whose column count matches dimension k.
 
 ``_project_stack`` applies the mode products of a whole stack of
-tensors, for the fit engine and for scoring. Each mode product is a
+tensors, for the fit engine, the objectives and ``multi_project``;
+scoring chains the same products itself. Each mode product is a
 single ``dgemm`` from ``scipy.linalg.blas``, the OpenBLAS build that the
 eigensolver also runs on (see ``linalg``), on a free reshape of a
 C-contiguous array: it contracts the first or the last axis, and the new
 axis of the result lies at the other end. A chain of such products
 therefore rotates the axes instead of moving them, and copies nothing.
-A full projection chains them from the last axis of the (N, *dims)
-stack. A projection of every mode but k (the mode-k scatter's input)
+A full projection chains them from the fastest-varying axis of the
+(N, *dims) stack as it lies in memory (``_sample_layout``), so that
+neither a C-ordered stack nor one read in file order is copied. A
+projection of every mode but k (the mode-k scatter's input)
 starts from the stack's mode-k layout, one copy with the axes ordered
 (other modes, mode k, sample), and chains them from the first axis; the
 fit engine makes each stack's layouts once per fit.
@@ -146,20 +149,32 @@ def _project_layout(layout: np.ndarray, projections, mode: int) -> np.ndarray:
     return out
 
 
+def _sample_layout(stack: np.ndarray, order=None) -> tuple[tuple[int, ...], np.ndarray]:
+    """The modes of the (N, *dims) `stack` in memory order, slowest first,
+    and the stack with its axes ordered (sample, *those modes) and
+    C-contiguous. That is a free view of a C-ordered stack and of one
+    read in file order (each sample Fortran-ordered); any other stack is
+    copied. Pass `order` to lay a stack out like another one."""
+    if order is None:
+        order = tuple(sorted(range(stack.ndim - 1), key=lambda q: -stack.strides[q + 1]))
+    return order, np.ascontiguousarray(stack.transpose((0, *(q + 1 for q in order))))
+
+
 def _project_stack(stack: np.ndarray, projections, skip: int | None = None) -> np.ndarray:
     """Contract axis q + 1 of `stack`, a stack of tensors, with
     projections[q]^T for every mode q except `skip`. The result keeps the
-    stack's axis order; it is a transposed view of the last product. The
-    stack is copied at most once: to C order for a full projection, to
-    its mode-`skip` layout otherwise. Unchecked: callers pass validated
-    float64 arrays."""
+    stack's axis order; it is a transposed view of the last product. A
+    full projection contracts the :func:`_sample_layout` from its
+    fastest axis; otherwise the stack is copied once, to its mode-`skip`
+    layout. Unchecked: callers pass validated float64 arrays."""
     if all(q == skip for q in range(len(projections))):
         return stack  # no mode to contract
     if skip is None:
-        out = np.ascontiguousarray(stack)
-        for w in reversed(projections):
-            out = _contract_last(out, w)
-        return np.moveaxis(out, -1, 0)
+        order, out = _sample_layout(stack)
+        for q in reversed(order):
+            out = _contract_last(out, projections[q])
+        # axes now (projected modes in `order`, sample)
+        return out.transpose((len(order), *np.argsort(order)))
     out = _project_layout(_mode_layout(stack, skip), projections, skip)
     return np.moveaxis(out, (0, 1), (skip + 1, 0))
 

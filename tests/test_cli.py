@@ -14,6 +14,7 @@ from mcsda import (
     FitReport,
     LabeledDataset,
     TrainConfig,
+    load_dataset,
     load_model,
     save_dataset,
     save_model,
@@ -701,3 +702,69 @@ def test_bench_scores_each_model_repeats_times(tmp_path, monkeypatch):
     stored = json.loads(report_path.read_text())
     assert stored["csda_scores_per_s"] > 0
     assert stored["mcsda_scores_per_s"] > 0
+
+
+# ---------------------------------------------------------------------------
+# a loaded dataset is a file-order view: fits and reports must not depend
+# on the memory layout of the samples
+
+
+def c_ordered_loads(monkeypatch):
+    """Make the command line load every dataset as a C-ordered copy."""
+    import mcsda.cli as cli
+
+    load = cli.load_dataset
+
+    def load_c_ordered(path):
+        data = load(path)
+        samples = np.ascontiguousarray(data.samples)
+        return LabeledDataset(samples=samples, labels=data.labels, n_classes=data.n_classes)
+
+    monkeypatch.setattr(cli, "load_dataset", load_c_ordered)
+
+
+TRAIN_RUNS = [
+    (method, dims, extra)
+    for method, dims in (("lda", "1"), ("csda", "4"), ("mda", "2x2x2"), ("mcsda", "2x2x2"))
+    for extra in (("--one-vs-rest",), ("--positive-class", "2"))
+] + [("lda", "2", ()), ("mda", "3x2x2", ())]
+
+
+def test_fits_from_loaded_and_c_ordered_samples_write_identical_bins(tmp_path, monkeypatch):
+    data = make_synth(tmp_path, dims="5x4x3", per_class=12, sigma=1.0, scale=1.0)
+    assert not load_dataset(data).samples.flags.c_contiguous
+    outs = {}
+    for layout in ("file", "C"):
+        if layout == "C":
+            c_ordered_loads(monkeypatch)
+        for i, (method, dims, extra) in enumerate(TRAIN_RUNS):
+            out = tmp_path / f"{layout}_{i}"
+            assert run(
+                "train", "--data", str(data), "--method", method, "--dims", dims,
+                *extra, "--out", str(out),
+            ) == 0
+            outs[layout, i] = {
+                p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.bin"))
+            }
+    for i, run_args in enumerate(TRAIN_RUNS):
+        assert outs["file", i], run_args
+        assert outs["file", i] == outs["C", i], run_args
+
+
+@pytest.mark.parametrize("method,dims", [("csda", "6"), ("mcsda", "3x2x2")])
+def test_eval_reports_equal_on_loaded_and_c_ordered_samples(tmp_path, monkeypatch, method, dims):
+    data = make_synth(tmp_path, dims="5x4x3", per_class=12, sigma=2.0, scale=1.0)
+    models = train_ovr(tmp_path, data, method=method, dims=dims)
+    reports = {}
+    for layout in ("file", "C"):
+        if layout == "C":
+            c_ordered_loads(monkeypatch)
+        for task in ("verify", "classify"):
+            path = tmp_path / f"{layout}_{task}.json"
+            assert run(
+                "eval", "--models", str(models), "--data", str(data),
+                "--task", task, "--report", str(path),
+            ) == 0
+            reports[layout, task] = path.read_bytes()
+    for task in ("verify", "classify"):
+        assert reports["file", task] == reports["C", task]

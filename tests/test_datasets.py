@@ -105,6 +105,22 @@ def test_load_holds_at_most_two_sample_copies(tmp_path, rng):
     assert np.array_equal(loaded.samples, ds.samples)
     assert peak < 2.5 * ds.samples.nbytes
 
+def test_load_copies_no_sample_stack(tmp_path, rng):
+    # the samples are a view of the array data.bin is read into, in the
+    # file's own order: each sample contiguous and Fortran-ordered
+    ds = random_dataset(rng, dims=(20, 15), n_classes=4, per_class=100)
+    save_dataset(ds, tmp_path / "ds")
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.samples, ds.samples)
+    assert loaded.samples[0].flags.f_contiguous
+    assert peak < 1.5 * ds.samples.nbytes
+
+
 def test_missing_files(tmp_path, rng):
     with pytest.raises(FileNotFoundError, match="manifest.json"):
         load_dataset(tmp_path / "nowhere")
@@ -131,6 +147,42 @@ def test_bad_labels(tmp_path, rng):
     labels_path.write_text("1\n2\n")
     with pytest.raises(DatasetFormatError, match="has 2 labels"):
         load_dataset(tmp_path / "ds")
+
+
+def test_bad_label_names_its_line_in_the_file(tmp_path, rng):
+    # blank lines are skipped but still counted: 'x' sits on line 5
+    ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=1)
+    save_dataset(ds, tmp_path / "ds")
+    labels_path = tmp_path / "ds" / "labels.csv"
+    labels_path.write_text("1\n\n2\n\nx\n")
+    with pytest.raises(DatasetFormatError, match="has 3 labels"):
+        load_dataset(tmp_path / "ds")
+    labels_path.write_text("1\n\n\n  \nx\n")
+    with pytest.raises(DatasetFormatError, match="line 5: not an integer: 'x'"):
+        load_dataset(tmp_path / "ds")
+    labels_path.write_text("\n2\n\n3\n")
+    with pytest.raises(DatasetFormatError, match="line 4: label 3 outside 1..2"):
+        load_dataset(tmp_path / "ds")
+    labels_path.write_text("\n 2 \n\n+1\n")
+    assert load_dataset(tmp_path / "ds").labels.tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("row", [" 2 ", "+2", "02", "1_0", "2.0", "1e0", "0x2", "-1", "9" * 30])
+def test_label_rows_parse_as_int_does(tmp_path, rng, row):
+    ds = random_dataset(rng, dims=(2,), n_classes=10, per_class=1)
+    save_dataset(ds, tmp_path / "ds")
+    (tmp_path / "ds" / "labels.csv").write_text("".join(
+        f"{r}\n" for r in ["1"] * 9 + [row]
+    ))
+    try:
+        value = int(row)
+    except ValueError:
+        value = None
+    if value is None or not 1 <= value <= 10:
+        with pytest.raises(DatasetFormatError, match="line 10: "):
+            load_dataset(tmp_path / "ds")
+    else:
+        assert load_dataset(tmp_path / "ds").labels[-1] == value
 
 
 def test_bad_manifest(tmp_path, rng):
