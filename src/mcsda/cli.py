@@ -7,6 +7,7 @@ errors. Set MCSDA_LOG_LEVEL (DEBUG, INFO, ...) for progress logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -108,7 +109,7 @@ def cmd_train(args) -> int:
     config = _train_config(args, method)
     out = Path(args.out)
     if args.one_vs_rest:
-        models = fit_one_vs_rest(data, method, config, n_jobs=args.jobs)
+        models = fit_one_vs_rest(data, method, config)
         dirs = [out / f"class_{m.positive_class}" for m in models]
     else:
         models, dirs = [_fit(data, method, args.positive_class, config)], [out]
@@ -348,7 +349,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="mcsda",
         description="Train and evaluate discriminant subspace models on tensor data.",
@@ -380,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = train.add_mutually_exclusive_group()
     group.add_argument("--positive-class", type=int)
     group.add_argument("--one-vs-rest", action="store_true")
-    train.add_argument("--jobs", type=int, default=1, help="parallel per-class fits")
     train.add_argument("--out", required=True)
     train.add_argument("--force", action="store_true", help="overwrite existing output")
     train.set_defaults(func=cmd_train)

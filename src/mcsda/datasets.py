@@ -143,12 +143,12 @@ class SynthSpec:
             raise ValueError(
                 f"samples_per_class must be >= 1, got {self.samples_per_class}"
             )
-        if not self.class_mean_scale > 0:
+        if not 0 < self.class_mean_scale < math.inf:
             raise ValueError(
-                f"class_mean_scale must be > 0, got {self.class_mean_scale}"
+                f"class_mean_scale must be finite and > 0, got {self.class_mean_scale}"
             )
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "dims", dims)
 
 

@@ -8,9 +8,12 @@ tensor shape and learn one projection matrix per mode, sweeping from an
 all-ones initialization until the summed projector distance between
 consecutive sweeps drops to `eps`. ``fit_lda`` and ``fit_csda`` are the
 one-mode case: the stacks are vectorized, so one sweep is one eigensolve.
-The engine lays each stack out once per mode and fit
-(``tensor_ops._mode_layout``), so a sweep's mode products copy nothing,
-and takes each sweep's objective from its last solve's unfoldings.
+The engine lays each stack out once per mode and fit and contracts the
+layouts (``tensor_ops._mode_layout`` and ``_project_layout``), so a
+sweep's mode products copy nothing, and takes each sweep's objective
+from its last solve's unfoldings. The public scatters and objectives run
+the same two routines, so a fit's last objective is the public
+objective of its projections, bit for bit.
 
 The class-specific criteria (``csda``, ``mcsda``) separate one positive
 class from everything else and center every scatter on the positive
@@ -21,8 +24,8 @@ build the stacks of the binary positive-vs-rest problem and keep the
 positive class mean as the scoring reference. Trained models score a
 sample by inverse distance to the projected reference mean, 1 / (1 + d).
 ``_score_matrix`` is the one scoring routine: it scores a whole
-(N, *dims) stack under a set of models with one pass over the stack,
-contracting it from its fastest-varying axis as it lies in memory, so
+(N, *dims) stack under a set of models with one pass over the stack
+(``tensor_ops._project_chains``, which ``multi_project`` also runs), so
 that neither a C-ordered stack nor one loaded in file order is copied.
 ``score_batch`` is its one-model case and ``similarity_score`` its
 one-sample form; ``project`` projects one sample.
@@ -33,7 +36,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +47,10 @@ from .datasets import LabeledDataset
 from .linalg import ScatterPair, solve_ratio_trace
 from .tensor_ops import (
     _check_projections,
-    _contract_last,
     _gemm_tn,
     _mode_layout,
+    _project_chains,
     _project_layout,
-    _project_stack,
     _sample_layout,
     multi_project,
 )
@@ -121,12 +122,12 @@ class TrainConfig:
             bad = int(dims) < 1
         if bad:
             raise ValueError(f"subspace_dims must be positive, got {self.subspace_dims}")
-        if self.reg_lambda < 0:
-            raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        if not 0 <= self.reg_lambda < math.inf:
+            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.init not in INIT_CHOICES:
             raise ValueError(f"init must be one of {INIT_CHOICES}, got {self.init!r}")
 
@@ -282,23 +283,20 @@ def _gram(h: np.ndarray) -> np.ndarray:
     return full
 
 
+def _unfoldings(num, den, projections, mode: int) -> list[np.ndarray]:
+    """The mode-`mode` unfoldings of both stacks, every other mode
+    projected, as the fit engine builds them. Their columns are not in
+    fiber order; the scatters and squared norms taken from them do not
+    depend on column order."""
+    return [_project_layout(_mode_layout(s, mode), projections, mode) for s in (num, den)]
+
+
 def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
     """Mode-`mode` scatters of both stacks: the sum over each stack of
     U U^T, where U is the mode-`mode` unfolding of an entry after
     projecting every other mode. With the defaults, the plain scatters of
-    flattened (N, P) stacks.
-
-    The unfolding column order here differs from the fiber convention,
-    which is harmless: U U^T is invariant to column permutations.
-    """
-
-    def scatter(stack):
-        # with projections, _project_stack leaves mode `mode` first in
-        # memory, so the unfolding below is a free view
-        h = np.moveaxis(_project_stack(stack, projections, skip=mode), mode + 1, 0)
-        return _gram(h.reshape(h.shape[0], -1))
-
-    return ScatterPair(numerator=scatter(num), denominator=scatter(den))
+    flattened (N, P) stacks."""
+    return ScatterPair(*map(_gram, _unfoldings(num, den, projections, mode)))
 
 
 def lda_scatters(data: LabeledDataset) -> ScatterPair:
@@ -342,8 +340,18 @@ def mda_mode_scatters(data: LabeledDataset, projections, mode: int) -> ScatterPa
 # objectives and convergence
 
 
+def _ratio(hs, w: np.ndarray) -> float:
+    """||W^T H_num||^2 / ||W^T H_den||^2 of one mode's unfoldings `hs`:
+    the criterion. The trace form tr(W^T A W) / tr(W^T B W) is the same
+    number in exact arithmetic, but it cancels when B is nearly singular
+    on the span of W."""
+    num_norm, den_norm = (float(np.sum(_gemm_tn(w, h) ** 2)) for h in hs)
+    return num_norm / den_norm if den_norm > 0 else math.inf
+
+
 def _objective(num: np.ndarray, den: np.ndarray, projections) -> float:
-    """Ratio of the projected squared norms of the two stacks.
+    """Ratio of the projected squared norms of the two stacks, taken on
+    the last mode's unfoldings as the fit's last solve takes it.
 
     A single matrix for multi-mode stacks projects the flattened samples
     (the vector-method route); otherwise there is one matrix per mode.
@@ -351,10 +359,8 @@ def _objective(num: np.ndarray, den: np.ndarray, projections) -> float:
     if len(projections) == 1 and num.ndim > 2:
         num, den = _flatten_samples(num), _flatten_samples(den)
     ws = _check_projections(projections, num.shape[1:])
-    p = _project_stack(num, ws)
-    q = _project_stack(den, ws)
-    num_norm, den_norm = float(np.sum(p * p)), float(np.sum(q * q))
-    return num_norm / den_norm if den_norm > 0 else math.inf
+    last = len(ws) - 1
+    return _ratio(_unfoldings(num, den, ws, last), ws[last])
 
 
 def class_specific_objective(data: LabeledDataset, positive: int, projections) -> float:
@@ -468,19 +474,13 @@ def _sweep(layouts, ws, sub_dims, ridge: float) -> float:
     per-mode layouts: solve each mode's pencil in turn, every other mode
     projected with its latest matrix, updating `ws` in place.
 
-    Returns the criterion at the new `ws`, taken from the unfoldings H of
-    the last solve: no mode changes after it, so the ratio of the
-    squared norms of the fully projected stacks is
-    ||W^T H_num||^2 / ||W^T H_den||^2 with that solve's W. The trace form
-    tr(W^T A W) / tr(W^T B W) is the same number in exact arithmetic, but
-    it cancels when B is nearly singular on the span of W.
+    Returns the criterion at the new `ws`, taken from the unfoldings of
+    the last solve (:func:`_ratio`): no mode changes after it.
     """
     for k, d in enumerate(sub_dims):
         hs = [_project_layout(per_mode[k], ws, k) for per_mode in layouts]
-        hs = [h.reshape(h.shape[0], -1) for h in hs]
         ws[k] = solve_ratio_trace(ScatterPair(*map(_gram, hs)), d, ridge).vectors
-    num_norm, den_norm = (float(np.sum(_gemm_tn(ws[-1], h) ** 2)) for h in hs)
-    return num_norm / den_norm if den_norm > 0 else math.inf
+    return _ratio(hs, ws[-1])
 
 
 def _alternate(layouts, ws, sub_dims, config):
@@ -618,22 +618,10 @@ def fit_class_specific(
 
 
 def fit_one_vs_rest(
-    data: LabeledDataset, method: str, config: TrainConfig, n_jobs: int = 1
+    data: LabeledDataset, method: str, config: TrainConfig
 ) -> list[DiscriminantModel]:
-    """Train one scoring model per class, returned in class id order.
-
-    Per-class fits are independent, so they may run on worker threads;
-    the merge order is by class id either way.
-    """
-    classes = list(range(1, data.n_classes + 1))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(fit_class_specific, data, method, c, config)
-                for c in classes
-            ]
-            return [f.result() for f in futures]
-    return [fit_class_specific(data, method, c, config) for c in classes]
+    """Train one scoring model per class, returned in class id order."""
+    return [fit_class_specific(data, method, c, config) for c in range(1, data.n_classes + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,41 +664,6 @@ def _scoring_chain(model: DiscriminantModel, order) -> tuple[np.ndarray, list[np
         return w.reshape(-1, w.shape[-1]), []
     ws = model.projections
     return ws[order[-1]], [ws[q] for q in reversed(order[:-1])]
-
-
-def _project_chains(layout: np.ndarray, chains, slab: int):
-    """Project a C-contiguous (N, ...) stack layout with every chain,
-    `slab` samples at a time. Per slab, one dgemm contracts the fastest
-    axis (the whole sample, for a vector model) against the
-    column-stacked first matrices of every chain of that size, then each
-    chain contracts its other modes on its own contiguous block of that
-    product. Yields (first sample of the slab, chain index, projection),
-    the projection as a (prod subspace dims, samples in the slab)
-    matrix."""
-    groups: dict[int, list[int]] = {}
-    for i, (first, _) in enumerate(chains):
-        groups.setdefault(first.shape[0], []).append(i)
-    stacked = {}
-    for size, members in groups.items():
-        firsts = [chains[i][0] for i in members]
-        # Fortran order, so that dgemm takes the stacked matrix uncopied
-        stacked[size] = np.empty((size, sum(w.shape[1] for w in firsts)), order="F")
-        np.concatenate(firsts, axis=1, out=stacked[size])
-    for start in range(0, layout.shape[0], slab):
-        part = layout[start : start + slab]
-        n = part.shape[0]
-        for size, members in groups.items():
-            product = _contract_last(part.reshape(-1, size), stacked[size])
-            lo = 0
-            for i in members:
-                first, rest = chains[i]
-                block = product[lo : lo + first.shape[1]]
-                lo += first.shape[1]
-                block = block.reshape((first.shape[1], n) + part.shape[1 : 1 + len(rest)])
-                for w in rest:
-                    block = _contract_last(block, w)
-                yield start, i, block.reshape(math.prod(block.shape[:-1]), n)
-            del product  # before the next one is made
 
 
 def _score_matrix(models, samples) -> np.ndarray:

@@ -14,6 +14,7 @@ a bad dataset does. Round trips are bit exact.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -21,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DatasetFormatError, _manifest_entries, _read_array, _read_json, _write_array
-from .discriminant import METHODS, DiscriminantModel, FitReport, TrainConfig
+from .discriminant import (
+    METHODS,
+    VECTOR_METHODS,
+    DiscriminantModel,
+    FitReport,
+    TrainConfig,
+    _subspace_dims,
+)
 
 __all__ = ["save_model", "load_model"]
 
@@ -100,8 +108,11 @@ def _read_finite(path: Path, shape) -> np.ndarray:
 
 
 def load_model(path) -> DiscriminantModel:
-    """Load a model directory written by :func:`save_model`; a matrix
-    file holding NaN or inf is a format error."""
+    """Load a model directory written by :func:`save_model`. A matrix
+    file holding NaN or inf is a format error, and so is a matrix whose
+    shape does not fit the method, `input_dims` and `subspace_dims`: one
+    (prod(input_dims), d) matrix for a vector method, one (I_k, d_k) per
+    mode for a tensor method, and means of shape `input_dims`."""
     root = Path(path)
     manifest_path = root / MODEL_NAME
     doc = _read_json(manifest_path, MODEL_VERSION)
@@ -114,20 +125,27 @@ def load_model(path) -> DiscriminantModel:
         subspace_dims = (
             tuple(int(d) for d in raw_sub) if isinstance(raw_sub, list) else int(raw_sub)
         )
+        shapes = [(int(e["rows"]), int(e["cols"])) for e in doc["projections"]]
+        _, sub = _subspace_dims(method, subspace_dims, input_dims)
+        vector = method in VECTOR_METHODS
+        expected = [(math.prod(input_dims), sub[0])] if vector else list(zip(input_dims, sub))
+        means = [doc[key] for key in ("reference_mean", "class_means") if doc.get(key)]
+        if shapes != expected or any(tuple(m["dims"]) != input_dims for m in means):
+            raise DatasetFormatError(
+                f"{manifest_path}: matrix shapes do not fit a {method} model of input "
+                f"dims {input_dims} and subspace dims {subspace_dims}: projections "
+                f"{shapes} (expected {expected}), means {[m['dims'] for m in means]}"
+            )
         projections = [
-            _read_finite(root / e["file"], (int(e["rows"]), int(e["cols"])))
-            for e in doc["projections"]
+            _read_finite(root / e["file"], shape) for e, shape in zip(doc["projections"], shapes)
         ]
         reference_mean = None
         if doc.get("reference_mean") is not None:
-            entry = doc["reference_mean"]
-            dims = tuple(int(d) for d in entry["dims"])
-            reference_mean = _read_finite(root / entry["file"], dims)
+            reference_mean = _read_finite(root / doc["reference_mean"]["file"], input_dims)
         class_means = None
         if doc.get("class_means") is not None:
             entry = doc["class_means"]
-            dims = tuple(int(d) for d in entry["dims"])
-            stacked = _read_finite(root / entry["file"], dims + (int(entry["count"]),))
+            stacked = _read_finite(root / entry["file"], input_dims + (int(entry["count"]),))
             class_means = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
         config = TrainConfig(
             subspace_dims=subspace_dims,

@@ -10,21 +10,21 @@ mode-0 unfolding of a Fortran-contiguous array is a plain reshape, and
 
 holds for every matrix w whose column count matches dimension k.
 
-``_project_stack`` applies the mode products of a whole stack of
-tensors, for the fit engine, the objectives and ``multi_project``;
-scoring chains the same products itself. Each mode product is a
-single ``dgemm`` from ``scipy.linalg.blas``, the OpenBLAS build that the
-eigensolver also runs on (see ``linalg``), on a free reshape of a
-C-contiguous array: it contracts the first or the last axis, and the new
-axis of the result lies at the other end. A chain of such products
-therefore rotates the axes instead of moving them, and copies nothing.
-A full projection chains them from the fastest-varying axis of the
-(N, *dims) stack as it lies in memory (``_sample_layout``), so that
-neither a C-ordered stack nor one read in file order is copied. A
-projection of every mode but k (the mode-k scatter's input)
-starts from the stack's mode-k layout, one copy with the axes ordered
-(other modes, mode k, sample), and chains them from the first axis; the
-fit engine makes each stack's layouts once per fit.
+The package projects stacks of tensors with two routines, one per job.
+Fitting and the public criterion functions need a mode-k unfolding with
+every other mode projected: :func:`_mode_layout` copies a stack once to
+its mode-k layout, with the axes ordered (other modes, mode k, sample),
+and :func:`_project_layout` contracts it from the first axis; the fit
+engine makes each stack's layouts once per fit. Scoring and
+``multi_project`` need every mode projected: :func:`_project_chains`
+contracts a stack from the fastest-varying axis as it lies in memory
+(:func:`_sample_layout`), so that neither a C-ordered stack nor one read
+in file order is copied. Each mode product is a single ``dgemm`` from
+``scipy.linalg.blas``, the OpenBLAS build that the eigensolver also runs
+on (see ``linalg``), on a free reshape of a C-contiguous array: it
+contracts the first or the last axis, and the new axis of the result
+lies at the other end. A chain of such products therefore rotates the
+axes instead of moving them, and copies nothing.
 """
 
 from __future__ import annotations
@@ -139,14 +139,15 @@ def _mode_layout(stack: np.ndarray, mode: int) -> np.ndarray:
 
 def _project_layout(layout: np.ndarray, projections, mode: int) -> np.ndarray:
     """Contract every mode but `mode` of a :func:`_mode_layout`, in mode
-    order, with projections[q]^T. The result has the axes (`mode`, sample,
-    projected modes in order), so its (I_mode, M) reshape is free and is
-    the mode-`mode` unfolding with the sample index slowest."""
+    order, with projections[q]^T, and return the (I_mode, M) mode-`mode`
+    unfolding of the result, the sample index slowest: the contractions
+    leave the axes (`mode`, sample, projected modes in order), so that
+    reshape is free."""
     out = layout
     for q, w in enumerate(projections):
         if q != mode:
             out = _contract_first(out, w)
-    return out
+    return out.reshape(out.shape[0], -1)
 
 
 def _sample_layout(stack: np.ndarray, order=None) -> tuple[tuple[int, ...], np.ndarray]:
@@ -160,23 +161,39 @@ def _sample_layout(stack: np.ndarray, order=None) -> tuple[tuple[int, ...], np.n
     return order, np.ascontiguousarray(stack.transpose((0, *(q + 1 for q in order))))
 
 
-def _project_stack(stack: np.ndarray, projections, skip: int | None = None) -> np.ndarray:
-    """Contract axis q + 1 of `stack`, a stack of tensors, with
-    projections[q]^T for every mode q except `skip`. The result keeps the
-    stack's axis order; it is a transposed view of the last product. A
-    full projection contracts the :func:`_sample_layout` from its
-    fastest axis; otherwise the stack is copied once, to its mode-`skip`
-    layout. Unchecked: callers pass validated float64 arrays."""
-    if all(q == skip for q in range(len(projections))):
-        return stack  # no mode to contract
-    if skip is None:
-        order, out = _sample_layout(stack)
-        for q in reversed(order):
-            out = _contract_last(out, projections[q])
-        # axes now (projected modes in `order`, sample)
-        return out.transpose((len(order), *np.argsort(order)))
-    out = _project_layout(_mode_layout(stack, skip), projections, skip)
-    return np.moveaxis(out, (0, 1), (skip + 1, 0))
+def _project_chains(layout: np.ndarray, chains, slab: int):
+    """Project a C-contiguous (N, ...) stack layout with every chain (the
+    matrix over the fastest axis, then those of the other modes, fastest
+    first), `slab` samples at a time. Per slab, one dgemm contracts the
+    fastest axis against the column-stacked first matrices of every chain
+    of that size, then each chain contracts its other modes on its own
+    contiguous block of that product. Yields (first sample of the slab,
+    chain index, projection), the projection as a (prod subspace dims,
+    samples in the slab) matrix, its rows in the layout's mode order."""
+    groups: dict[int, list[int]] = {}
+    for i, (first, _) in enumerate(chains):
+        groups.setdefault(first.shape[0], []).append(i)
+    stacked = {}
+    for size, members in groups.items():
+        firsts = [chains[i][0] for i in members]
+        # Fortran order, so that dgemm takes the stacked matrix uncopied
+        stacked[size] = np.empty((size, sum(w.shape[1] for w in firsts)), order="F")
+        np.concatenate(firsts, axis=1, out=stacked[size])
+    for start in range(0, layout.shape[0], slab):
+        part = layout[start : start + slab]
+        n = part.shape[0]
+        for size, members in groups.items():
+            product = _contract_last(part.reshape(-1, size), stacked[size])
+            lo = 0
+            for i in members:
+                first, rest = chains[i]
+                block = product[lo : lo + first.shape[1]]
+                lo += first.shape[1]
+                block = block.reshape((first.shape[1], n) + part.shape[1 : 1 + len(rest)])
+                for w in rest:
+                    block = _contract_last(block, w)
+                yield start, i, block.reshape(math.prod(block.shape[:-1]), n)
+            del product  # before the next one is made
 
 
 def multi_project(tensor, projections) -> np.ndarray:
@@ -188,4 +205,8 @@ def multi_project(tensor, projections) -> np.ndarray:
     does not depend on the order of application.
     """
     t = np.asarray(tensor, dtype=np.float64)
-    return _project_stack(t[np.newaxis], _check_projections(projections, t.shape))[0]
+    ws = _check_projections(projections, t.shape)
+    # the one-chain case of scoring, on a C-ordered one-sample layout
+    layout = np.ascontiguousarray(t)[np.newaxis]
+    _, _, out = next(_project_chains(layout, [(ws[-1], ws[-2::-1])], 1))
+    return out.reshape([w.shape[1] for w in ws])

@@ -3,7 +3,9 @@ codes, and the files they leave behind."""
 
 import json
 import logging
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -621,8 +623,9 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys):
     [
         lambda doc: doc["class_means"].update(count="many"),
         lambda doc: doc["projections"][0].update(rows="x"),
+        lambda doc: doc.update({"lambda": math.nan}),
     ],
-    ids=["class_means_count", "projection_rows"],
+    ids=["class_means_count", "projection_rows", "nan_lambda"],
 )
 def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
     data = make_synth(tmp_path)
@@ -768,3 +771,173 @@ def test_eval_reports_equal_on_loaded_and_c_ordered_samples(tmp_path, monkeypatc
             reports[layout, task] = path.read_bytes()
     for task in ("verify", "classify"):
         assert reports["file", task] == reports["C", task]
+
+
+# ---------------------------------------------------------------------------
+# non-finite numeric settings are usage errors (and format errors in a
+# model.json, above)
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (("--lambda", "nan"), "reg_lambda"),
+        (("--lambda", "inf"), "reg_lambda"),
+        (("--eps", "inf"), "eps"),
+    ],
+)
+def test_train_rejects_nonfinite_settings(tmp_path, capsys, flags, field):
+    data = make_synth(tmp_path)
+    capsys.readouterr()
+    code = run(
+        "train", "--data", str(data), "--method", "mcsda", "--dims", "2x2",
+        "--positive-class", "1", *flags, "--out", str(tmp_path / "m"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f"{field} must be finite" in err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [(("--sigma", "nan"), "noise_sigma"), (("--mean-scale", "inf"), "class_mean_scale")],
+)
+def test_synth_rejects_nonfinite_settings(tmp_path, capsys, flags, field):
+    code = run(
+        "synth", "--dims", "4x3", "--classes", "2", "--per-class", "5", *flags,
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f"{field} must be finite" in err
+
+
+# ---------------------------------------------------------------------------
+# load_model checks every matrix shape against the method and the dims
+
+
+def set_projection(model_dir, index, rows, cols):
+    """Make projection `index` a rows x cols matrix, in model.json and in
+    its file, so that only the shape is wrong."""
+    doc = json.loads((model_dir / "model.json").read_text())
+    entry = doc["projections"][index]
+    entry.update(rows=rows, cols=cols)
+    (model_dir / "model.json").write_text(json.dumps(doc))
+    np.ones(rows * cols).tofile(model_dir / entry["file"])
+
+
+def drop_second_projection(model_dir):
+    damage_json(model_dir / "model.json", lambda doc: doc["projections"].pop())
+
+
+def transpose_mean_dims(model_dir):
+    damage_json(model_dir / "model.json", lambda doc: doc["reference_mean"]["dims"].reverse())
+
+
+@pytest.mark.parametrize(
+    "method,dims,damage",
+    [
+        ("mcsda", "2x1", lambda d: set_projection(d, 0, 3, 2)),
+        ("mcsda", "2x1", drop_second_projection),
+        ("mcsda", "2x1", transpose_mean_dims),
+        ("csda", "2", lambda d: set_projection(d, 0, 6, 2)),
+        ("csda", "2", lambda d: set_projection(d, 0, 12, 3)),
+    ],
+    ids=["tensor_mode_rows", "tensor_mode_count", "mean_dims", "vector_rows", "vector_cols"],
+)
+def test_eval_misshapen_model_is_format_error(tmp_path, capsys, method, dims, damage):
+    data = make_synth(tmp_path, dims="4x3")
+    models = train_ovr(tmp_path, data, method=method, dims=dims)
+    damage(models / "class_2")
+    capsys.readouterr()
+    code = run(
+        "eval", "--models", str(models), "--data", str(data),
+        "--task", "verify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    assert_one_error_line_naming(capsys, "model.json")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process; no per-class thread pool
+
+
+def test_main_builds_one_parser(tmp_path):
+    from mcsda.cli import _build_parser
+
+    _build_parser.cache_clear()
+    data = make_synth(tmp_path)
+    train_ovr(tmp_path, data)
+    assert _build_parser.cache_info().misses == 1
+    assert _build_parser.cache_info().hits >= 1
+
+
+def test_one_parser_parses_each_command_afresh():
+    from mcsda.cli import _build_parser, cmd_eval, cmd_train
+
+    parser = _build_parser()
+    train = parser.parse_args([
+        "train", "--data", "d", "--method", "csda", "--dims", "3",
+        "--positive-class", "2", "--lambda", "0.5", "--out", "o",
+    ])
+    ev = parser.parse_args(["eval", "--models", "m", "--data", "e", "--task", "verify", "--report", "r"])
+    ovr = parser.parse_args([
+        "train", "--data", "d2", "--method", "mcsda", "--dims", "2x2", "--one-vs-rest", "--out", "o2",
+    ])
+    assert parser is _build_parser()
+    assert train.func is ovr.func is cmd_train and ev.func is cmd_eval
+    assert (train.method, train.dims, train.positive_class, train.one_vs_rest) == ("csda", (3,), 2, False)
+    assert train.reg_lambda == 0.5
+    assert (ovr.method, ovr.dims, ovr.positive_class, ovr.one_vs_rest) == ("mcsda", (2, 2), None, True)
+    assert ovr.reg_lambda == TrainConfig.reg_lambda and ovr.data == "d2"
+    assert (ev.models, ev.data, ev.task, ev.report) == ("m", "e", "verify", "r")
+    assert not hasattr(ev, "method")
+
+
+def test_train_has_no_jobs_flag(tmp_path):
+    data = make_synth(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run(
+            "train", "--data", str(data), "--method", "mcsda", "--dims", "2x2",
+            "--one-vs-rest", "--jobs", "2", "--out", str(tmp_path / "m"),
+        )
+    assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fitting and eval bypass the public one-sample helpers: a fit projects
+# with the engine's layouts, eval scores with one stacked contraction, and
+# eval solves nothing
+
+
+def forbid(monkeypatch, *names):
+    """Make every package namespace's binding of the public functions
+    `names` raise."""
+    import mcsda
+
+    for name in names:
+        original = getattr(mcsda, name)
+
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "mcsda" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
+
+
+def test_train_and_eval_bypass_public_helpers(tmp_path, monkeypatch):
+    data = make_synth(tmp_path, sigma=1.0, scale=1.0)
+    forbid(monkeypatch, "multi_project", "project", "similarity_score")
+    models = [
+        train_ovr(tmp_path, data, method=method, dims=dims, name=method)
+        for method, dims in (("mcsda", "2x2"), ("csda", "3"))
+    ]
+    forbid(monkeypatch, "solve_ratio_trace")
+    for out in models:
+        for task in ("verify", "classify"):
+            assert run(
+                "eval", "--models", str(out), "--data", str(data),
+                "--task", task, "--report", str(tmp_path / f"{out.name}_{task}.json"),
+            ) == 0

@@ -18,12 +18,15 @@ from mcsda import (
     TrainConfig,
     class_specific_objective,
     convergence_metric,
+    csda_scatters,
     fit_class_specific,
     fit_csda,
     fit_lda,
     fit_mcsda,
     fit_mda,
     fit_one_vs_rest,
+    lda_scatters,
+    mda_mode_scatters,
     mode_k_class_specific_scatters,
     multiclass_objective,
     parameter_count,
@@ -469,16 +472,6 @@ def test_one_vs_rest_order_and_references(rng):
         )
 
 
-def test_one_vs_rest_threaded_matches_serial(rng):
-    ds = separable(rng, dims=(4, 3), n_classes=3, per_class=8)
-    cfg = TrainConfig(subspace_dims=(2, 2))
-    serial = fit_one_vs_rest(ds, "mcsda", cfg, n_jobs=1)
-    threaded = fit_one_vs_rest(ds, "mcsda", cfg, n_jobs=3)
-    for a, b in zip(serial, threaded):
-        for wa, wb in zip(a.projections, b.projections):
-            assert np.allclose(wa, wb, rtol=1e-12, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # scoring
 
@@ -632,29 +625,61 @@ def _binary(ds, positive):
 def _fit_engine(ds, method, positive, sub, max_iter, reg_lambda):
     cfg = TrainConfig(subspace_dims=sub, max_iter=max_iter, reg_lambda=reg_lambda)
     if positive is None:
-        return fit_mda(ds, cfg)
+        return {"lda": fit_lda, "mda": fit_mda}[method](ds, cfg)
     return fit_class_specific(ds, method, positive, cfg)
 
 
 def _criterion(ds, method, positive, projections):
-    if method == "mcsda":
+    if method in ("csda", "mcsda"):
         return class_specific_objective(ds, positive, projections)
     return multiclass_objective(ds if positive is None else _binary(ds, positive), projections)
 
 
+def _last_scatters(ds, method, positive, projections):
+    """The public scatters of the last mode at `projections`: those the
+    engine's last solve took."""
+    if method == "csda":
+        return csda_scatters(ds, positive)
+    binary = ds if positive is None else _binary(ds, positive)
+    if method == "lda":
+        return lda_scatters(binary)
+    if method == "mcsda":
+        return mode_k_class_specific_scatters(ds, positive, projections, len(ds.dims) - 1)
+    return mda_mode_scatters(binary, projections, len(ds.dims) - 1)
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 5])
-@pytest.mark.parametrize("dims", [(6, 5), (5, 4, 3), (4, 3, 3, 2)])
-@pytest.mark.parametrize("method,positive", [("mda", None), ("mda", 2), ("mcsda", 2)])
+@pytest.mark.parametrize("dims", [(6, 5), (5, 4, 3), (4, 3, 3, 2), (7,)])
+@pytest.mark.parametrize(
+    "method,positive",
+    [("mda", None), ("mda", 2), ("mcsda", 2), ("csda", 2), ("lda", None), ("lda", 2)],
+)
 def test_objective_trace_is_the_criterion_of_the_returned_projections(
-    rng, method, positive, dims, max_iter
+    rng, monkeypatch, method, positive, dims, max_iter
 ):
     # the last sweep's entry is the criterion the solver optimized,
-    # evaluated at the projections the fit returns
+    # evaluated at the projections the fit returns: the public objective
+    # and scatters run the engine's own arithmetic, so both agree bit for
+    # bit with what the fit computed
+    pairs = []
+
+    def recording(pair, *args, **kwargs):
+        pairs.append(pair)
+        return solve_ratio_trace(pair, *args, **kwargs)
+
+    monkeypatch.setattr(mcsda.discriminant, "solve_ratio_trace", recording)
     ds = separable(rng, dims=dims, n_classes=3, per_class=8)
-    model = _fit_engine(ds, method, positive, (2,) * len(dims), max_iter, 0.01)
-    assert model.fit_report.objective_trace[-1] == pytest.approx(
-        _criterion(ds, method, positive, model.projections), rel=1e-10
+    if method == "lda":
+        sub = 1 if positive else 2  # at most C - 1
+    else:
+        sub = 3 if method == "csda" else (2,) * len(dims)
+    model = _fit_engine(ds, method, positive, sub, max_iter, 0.01)
+    assert model.fit_report.objective_trace[-1] == _criterion(
+        ds, method, positive, model.projections
     )
+    want = _last_scatters(ds, method, positive, model.projections)
+    assert np.array_equal(pairs[-1].numerator, want.numerator)
+    assert np.array_equal(pairs[-1].denominator, want.denominator)
 
 
 def test_objective_trace_with_a_nearly_singular_denominator(rng):
@@ -664,6 +689,6 @@ def test_objective_trace_with_a_nearly_singular_denominator(rng):
     ds = random_dataset(rng, dims=(12, 10), n_classes=6, per_class=4)
     for c in (1, 2, 3):
         model = _fit_engine(ds, "mcsda", c, (8, 8), 5, 1e-6)
-        assert model.fit_report.objective_trace[-1] == pytest.approx(
-            class_specific_objective(ds, c, model.projections), rel=1e-10
+        assert model.fit_report.objective_trace[-1] == class_specific_objective(
+            ds, c, model.projections
         )

@@ -23,8 +23,8 @@ from mcsda import (
     mode_product,
     unfold,
 )
-from mcsda.discriminant import _gram, _scatter_pair
-from mcsda.tensor_ops import _mode_layout, _project_layout, _project_stack
+from mcsda.discriminant import _flatten_samples, _gram, _scatter_pair
+from mcsda.tensor_ops import _mode_layout, _project_layout
 
 from conftest import assert_scatter_valid, random_dataset
 
@@ -342,8 +342,7 @@ def _stack_layouts(rng, dims):
 
 
 def _gram_by_matmul(stack, ws, mode):
-    h = np.moveaxis(_project_stack(stack, ws, skip=mode), mode + 1, 0)
-    h = h.reshape(h.shape[0], -1)
+    h = _project_layout(_mode_layout(stack, mode), ws, mode)
     if not (h.flags.c_contiguous or h.flags.f_contiguous):
         # numpy's matmul runs a loop of its own, not BLAS, on a strided
         # operand; compare with the product of its contiguous copy
@@ -354,13 +353,17 @@ def _gram_by_matmul(stack, ws, mode):
 @pytest.mark.parametrize("dims", [(7,), (6, 5), (5, 4, 3)])
 def test_scatter_pair_bit_identical_to_matmul(rng, dims):
     for name, stack in _stack_layouts(rng, dims).items():
-        for ws in ((), random_projections(rng, dims, (2,) * len(dims))):
-            for mode in range(len(dims)):
-                pair = _scatter_pair(stack, stack[1::3], ws, mode)
-                want_num = _gram_by_matmul(stack, ws, mode)
-                want_den = _gram_by_matmul(stack[1::3], ws, mode)
-                assert np.array_equal(pair.numerator, want_num), (name, mode)
-                assert np.array_equal(pair.denominator, want_den), (name, mode)
+        # no projections: the plain scatters of the flattened (N, P)
+        # stacks that lda and csda pass
+        cases = [(_flatten_samples(stack), (), 0)]
+        ws = random_projections(rng, dims, (2,) * len(dims))
+        cases += [(stack, ws, mode) for mode in range(len(dims))]
+        for case, ws, mode in cases:
+            pair = _scatter_pair(case, case[1::3], ws, mode)
+            want_num = _gram_by_matmul(case, ws, mode)
+            want_den = _gram_by_matmul(case[1::3], ws, mode)
+            assert np.array_equal(pair.numerator, want_num), (name, mode)
+            assert np.array_equal(pair.denominator, want_den), (name, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +372,7 @@ def test_scatter_pair_bit_identical_to_matmul(rng, dims):
 
 def _layout_scatter(stack, ws, mode):
     """The mode scatter as the fit engine builds it each sweep."""
-    h = _project_layout(_mode_layout(stack, mode), ws, mode)
-    return _gram(h.reshape(h.shape[0], -1))
+    return _gram(_project_layout(_mode_layout(stack, mode), ws, mode))
 
 
 def scatter_by_einsum(stack, ws, mode):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mcsda import fold, mode_product, multi_project, unfold
-from mcsda.tensor_ops import _project_stack
+from mcsda.tensor_ops import _mode_layout, _project_chains, _project_layout, _sample_layout
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +257,48 @@ def project_by_einsum(stack, ws, skip=None):
     return np.einsum(",".join(terms) + "->" + "".join(out), *operands)
 
 
+def project_by_chains(stack, wss, slab):
+    """Every projection set in `wss` applied to every mode of `stack` by
+    the scoring routine, as (N, *subspace dims) arrays."""
+    order, layout = _sample_layout(stack)
+    chains = [(ws[order[-1]], [ws[q] for q in reversed(order[:-1])]) for ws in wss]
+    outs = [np.empty([w.shape[1] for w in ws] + [stack.shape[0]]) for ws in wss]
+    for start, i, projected in _project_chains(layout, chains, slab):
+        # rows follow the layout's modes, slowest first
+        block = projected.reshape([wss[i][q].shape[1] for q in order] + [-1])
+        outs[i][..., start : start + projected.shape[1]] = block.transpose(
+            (*np.argsort(order), len(order))
+        )
+    return [np.moveaxis(out, -1, 0) for out in outs]
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
     n=st.integers(0, 4),
-    layouts=st.lists(st.sampled_from(["C", "F", "sliced"]), min_size=4, max_size=4),
+    layouts=st.lists(st.sampled_from(["C", "F", "sliced"]), min_size=5, max_size=5),
+    slab=st.integers(1, 5),
     data=st.data(),
 )
-def test_project_stack_matches_einsum(dims, n, layouts, data):
+def test_projection_routines_match_einsum(dims, n, layouts, slab, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    k = len(dims)
     sub = [data.draw(st.integers(1, i)) for i in dims]
     stack = _layout(rng, (n, *dims), layouts[0])
     ws = [_layout(rng, (i, j), layouts[1 + q]) for q, (i, j) in enumerate(zip(dims, sub))]
-    for skip in (None, *range(k)):
-        got = _project_stack(stack, ws, skip=skip)
-        want = project_by_einsum(stack, ws, skip)
+    other = [_layout(rng, (i, data.draw(st.integers(1, i))), layouts[4]) for i in dims]
+
+    def check(got, want):
         assert got.shape == want.shape
         atol = 1e-12 * np.abs(want).max(initial=1.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+    # the fit's routine: every mode but k, as the mode-k unfolding
+    for k in range(len(dims)):
+        want = np.moveaxis(project_by_einsum(stack, ws, k), k + 1, 0)
+        check(_project_layout(_mode_layout(stack, k), ws, k), want.reshape(dims[k], -1))
+    # the scoring routine: every mode, several projection sets at once
+    for got, w in zip(project_by_chains(stack, [ws, other], slab), (ws, other)):
+        check(got, project_by_einsum(stack, w))
     if n:
         want = project_by_einsum(stack[:1], ws)[0]
         np.testing.assert_allclose(
@@ -290,12 +313,18 @@ def test_full_projection_copies_no_stack():
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(200, 40, 30))
     ws = [rng.normal(size=(40, 7)), rng.normal(size=(30, 7))]
-    _project_stack(stack, ws)
+
+    def project():
+        order, layout = _sample_layout(stack)
+        chain = (ws[order[-1]], [ws[q] for q in reversed(order[:-1])])
+        return [out for _, _, out in _project_chains(layout, [chain], len(stack))]
+
+    project()
     tracemalloc.start()
     try:
-        out = _project_stack(stack, ws)
+        (out,) = project()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shape == (200, 7, 7)
+    assert out.shape == (49, 200)
     assert peak < stack.nbytes / 2
