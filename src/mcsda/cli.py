@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import statistics
 import sys
 import time
@@ -24,6 +25,7 @@ import scipy
 from .datasets import (
     DatasetFormatError,
     SynthSpec,
+    _check_target,
     load_dataset,
     save_dataset,
     synth_generate,
@@ -47,7 +49,7 @@ from .metrics import (
     classification_report,
     verification_report,
 )
-from .model_io import load_model, save_model
+from .model_io import MODEL_NAME, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +86,20 @@ def _train_config(args, method: str) -> TrainConfig:
     )
 
 
-def _fit_report_entry(model) -> dict:
-    return {"class": model.positive_class, "method": model.method, **asdict(model.fit_report)}
+def _write_report(path, doc: dict) -> str:
+    """Write `doc` as indented JSON to `path`, making its parent
+    directories, through a sibling temporary file and one rename; returns
+    the JSON text. Every report goes through here."""
+    text = json.dumps(doc, indent=2)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already on success
+    return text
 
 
 def cmd_synth(args) -> int:
@@ -108,18 +122,25 @@ def cmd_train(args) -> int:
     method = args.method
     config = _train_config(args, method)
     out = Path(args.out)
-    if args.one_vs_rest:
-        models = fit_one_vs_rest(data, method, config)
-        dirs = [out / f"class_{m.positive_class}" for m in models]
-    else:
-        models, dirs = [_fit(data, method, args.positive_class, config)], [out]
+    n = data.n_classes
+    dirs = [out / f"class_{c}" for c in range(1, n + 1)] if args.one_vs_rest else [out]
+    for model_dir in dirs:  # refuse before fitting, not after
+        _check_target(model_dir, MODEL_NAME, "model", args.force)
+    models = (
+        fit_one_vs_rest(data, method, config) if args.one_vs_rest
+        else [_fit(data, method, args.positive_class, config)]
+    )
     for model, model_dir in zip(models, dirs):
         save_model(model, model_dir, force=args.force)
-    entries = [_fit_report_entry(m) for m in models]
-    report = {"version": 1, "method": method, "models": entries}
-    report_path = out / "fit_report.json"
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    if args.one_vs_rest and args.force:
+        # the new set replaces the old one: drop the classes it lacks
+        for old in {p.parent for p in out.glob(f"class_*/{MODEL_NAME}")} - set(dirs):
+            if old.name.removeprefix("class_").isdigit():
+                shutil.rmtree(old)
+    entries = [
+        {"class": m.positive_class, "method": method, **asdict(m.fit_report)} for m in models
+    ]
+    _write_report(out / "fit_report.json", {"version": 1, "method": method, "models": entries})
     for entry in entries:
         tag = "" if entry["class"] is None else f" class {entry['class']}"
         print(
@@ -135,12 +156,12 @@ def _expand_model_dirs(spec: str) -> list[Path]:
     paths: list[Path] = []
     for chunk in spec.split(","):
         root = Path(chunk)
-        if (root / "model.json").exists():
+        if (root / MODEL_NAME).exists():
             paths.append(root)
             continue
         if not root.is_dir():
             raise FileNotFoundError(f"no model directory at {root}")
-        subdirs = sorted(p for p in root.iterdir() if (p / "model.json").exists())
+        subdirs = sorted(p for p in root.iterdir() if (p / MODEL_NAME).exists())
         if not subdirs:
             raise FileNotFoundError(f"no model.json under {root}")
         paths.extend(subdirs)
@@ -199,12 +220,7 @@ def cmd_eval(args) -> int:
         seconds,
         n_scores / seconds if seconds > 0 else math.inf,
     )
-    doc = report.to_json_dict()
-    text = json.dumps(doc, indent=2)
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(text + "\n")
-    print(text)
+    print(_write_report(args.report, report.to_json_dict()))
     return 0
 
 
@@ -321,7 +337,7 @@ def cmd_bench(args) -> int:
         "env": _environment(),
     }
     if args.report:
-        Path(args.report).write_text(json.dumps(result, indent=2) + "\n")
+        _write_report(args.report, result)
     print(f"csda   {csda_seconds:10.4f}s  (normalized {ratio:8.2f})")
     print(f"mcsda  {mcsda_seconds:10.4f}s  (normalized {1.0:8.2f})")
     print(

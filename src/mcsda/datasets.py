@@ -16,6 +16,9 @@ naming the manifest). A stack such as ``data.bin`` is one array with the
 count as its last axis. ``load_dataset`` reads it straight into one
 array and returns its (count, *dims) view: the samples lie in file
 order, each contiguous and Fortran-ordered, and are not C-contiguous.
+Both saves, of datasets and models, write through ``_staged_directory``:
+into a fresh hidden sibling directory, renamed into place once complete,
+so a failed save leaves the target as it was.
 
 All randomness (splits, synthetic data) goes through numpy's default
 PCG64 ``Generator`` seeded explicitly, so results are reproducible from
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -201,23 +205,50 @@ def _manifest_entries(path: Path):
         raise DatasetFormatError(f"{path}: missing or malformed entry: {exc}") from exc
 
 
-def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetManifest:
-    """Write `data` to directory `path` in the documented format.
-
-    Refuses to overwrite an existing dataset unless `force` is set. The
-    manifest is written last so a complete manifest marks a complete
-    directory; a forced overwrite removes the old manifest first, so an
-    interrupted one leaves no loadable mix of old and new files.
-    """
-    root = Path(path)
-    manifest_path = root / MANIFEST_NAME
-    if manifest_path.exists():
+def _check_target(root: Path, manifest_name: str, kind: str, force: bool) -> None:
+    """The overwrite rule of every save: `root` may be absent or empty,
+    or hold `manifest_name` if `force` is set; nothing else."""
+    if (root / manifest_name).exists():
         if not force:
-            raise FileExistsError(
-                f"refusing to overwrite existing dataset at {root} (use force)"
-            )
-        manifest_path.unlink()
-    root.mkdir(parents=True, exist_ok=True)
+            raise FileExistsError(f"refusing to overwrite existing {kind} at {root} (use force)")
+    elif root.exists() and (not root.is_dir() or any(root.iterdir())):
+        raise FileExistsError(
+            f"refusing to write a {kind} into {root}: it is not empty and holds "
+            f"no {manifest_name}"
+        )
+
+
+@contextmanager
+def _staged_directory(root: Path, manifest_name: str, kind: str, force: bool):
+    """Yield a fresh sibling of `root`, named with a leading dot, for the
+    block to write, then rename it to `root`; an old `root` is renamed
+    aside first and removed last. On failure `root` stays as it was, and
+    nothing is left beside it either way."""
+    _check_target(root, manifest_name, kind, force)
+    root.parent.mkdir(parents=True, exist_ok=True)
+    stage = root.parent / f".{root.name}.{os.getpid()}-{os.urandom(4).hex()}"
+    stage.mkdir()  # the mode a plain mkdir gives, which `root` keeps
+    try:
+        yield stage
+        if not (root / manifest_name).exists():
+            os.replace(stage, root)  # `root` is absent or an empty directory
+        else:
+            aside = stage.with_name(stage.name + "-old")
+            os.rename(root, aside)
+            try:
+                os.rename(stage, root)
+            except BaseException:
+                os.rename(aside, root)
+                raise
+            shutil.rmtree(aside)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)  # gone already on success
+
+
+def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetManifest:
+    """Write `data` to directory `path` in the documented format, through
+    :func:`_staged_directory`; an existing dataset is overwritten only
+    with `force`."""
     manifest = DatasetManifest(
         version=MANIFEST_VERSION,
         dims=data.dims,
@@ -227,9 +258,10 @@ def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetMani
         data_file="data.bin",
         label_file="labels.csv",
     )
-    _write_array(root / manifest.data_file, np.moveaxis(data.samples, 0, -1))
-    (root / manifest.label_file).write_text("".join(f"{int(c)}\n" for c in data.labels))
-    manifest_path.write_text(json.dumps(manifest.to_json_dict(), indent=2) + "\n")
+    with _staged_directory(Path(path), MANIFEST_NAME, "dataset", force) as root:
+        _write_array(root / manifest.data_file, np.moveaxis(data.samples, 0, -1))
+        (root / manifest.label_file).write_text("".join(f"{int(c)}\n" for c in data.labels))
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest.to_json_dict(), indent=2) + "\n")
     return manifest
 
 

@@ -1,31 +1,28 @@
 """Discriminant subspace learning on vector and tensor data.
 
-All four trainers run on one fit engine: each criterion is a pair of
-numerator and denominator stacks of centered tensors, and the engine
-runs Gauss-Seidel sweeps of per-mode regularized ratio-trace
-eigensolves over them. ``fit_mda`` and ``fit_mcsda`` keep the native
-tensor shape and learn one projection matrix per mode, sweeping from an
-all-ones initialization until the summed projector distance between
-consecutive sweeps drops to `eps`. ``fit_lda`` and ``fit_csda`` are the
-one-mode case: the stacks are vectorized, so one sweep is one eigensolve.
-The engine lays each stack out once per mode and fit and contracts the
-layouts (``tensor_ops._mode_layout`` and ``_project_layout``), so a
-sweep's mode products copy nothing, and takes each sweep's objective
-from its last solve's unfoldings. The public scatters and objectives run
-the same two routines, so a fit's last objective is the public
-objective of its projections, bit for bit.
+All four trainers run on one fit engine. ``_criterion`` builds every
+criterion, for the fits, the public scatters and the objectives alike:
+a numerator and a denominator stack of centered tensors, flattened for
+the vector methods. The engine lays each stack out once per mode
+(``tensor_ops._mode_layout``) and runs Gauss-Seidel sweeps of per-mode
+regularized ratio-trace eigensolves over the layouts, from an all-ones
+initialization until the summed projector distance between consecutive
+sweeps drops to `eps`. One sweep solves a one-mode criterion jointly, so
+``fit_lda`` and ``fit_csda`` (and ``fit_mda``/``fit_mcsda`` on one-mode
+data, which equal them bit for bit) report one converged sweep. Each
+sweep's objective comes from its last solve's unfoldings, and the public
+objectives run the same routines, so a fit's last objective is the
+public objective of its projections, bit for bit.
 
 The class-specific criteria (``csda``, ``mcsda``) separate one positive
 class from everything else and center every scatter on the positive
 class mean; the multi-class criteria (``lda``, ``mda``) use between- and
-within-class scatters over all classes. ``_fit`` is the one entry for
-every method with or without a positive class: given one, ``lda``/``mda``
-build the stacks of the binary positive-vs-rest problem and keep the
-positive class mean as the scoring reference. Trained models score a
-sample by inverse distance to the projected reference mean, 1 / (1 + d).
-``_score_matrix`` is the one scoring routine: it scores a whole
-(N, *dims) stack under a set of models with one pass over the stack
-(``tensor_ops._project_chains``, which ``multi_project`` also runs), so
+within-class scatters over all classes, or, given a positive class, of
+the binary positive-vs-rest problem, keeping the positive class mean as
+the scoring reference. Trained models score a sample by inverse distance
+to the projected reference mean, 1 / (1 + d). ``_score_matrix`` is the
+one scoring routine: it scores a whole (N, *dims) stack under a set of
+models with one pass over the stack (``tensor_ops._project_chains``), so
 that neither a C-ordered stack nor one loaded in file order is copied.
 ``score_batch`` is its one-model case and ``similarity_score`` its
 one-sample form; ``project`` projects one sample.
@@ -147,7 +144,8 @@ class FitReport:
     """Bookkeeping of one training run.
 
     `objective_trace` and `convergence_trace` carry one entry per sweep;
-    the single-solve methods report one trivially converged sweep.
+    a one-mode criterion (every vector method) reports one converged
+    sweep, at distance 0.
     """
 
     objective_trace: list[float]
@@ -194,77 +192,71 @@ def _flatten_samples(samples: np.ndarray) -> np.ndarray:
     return np.moveaxis(samples, 0, -1).reshape(flat_dim, n, order="F").T
 
 
-def _check_positive(positive: int, n_classes: int) -> None:
-    if not 1 <= positive <= n_classes:
-        raise ValueError(f"positive class {positive} outside 1..{n_classes}")
-
-
-def _nonempty_counts(data: LabeledDataset) -> np.ndarray:
-    """Per-class sample counts; errors on the first empty class."""
+def _nonempty_counts(data: LabeledDataset, positive: int | None) -> np.ndarray:
+    """Per-class sample counts; errors on the first empty class and on a
+    positive class (if one is given) outside 1..n_classes."""
     counts = data.class_counts()
     for label, count in enumerate(counts, start=1):
         if count == 0:
             raise ValueError(f"class {label} is empty")
+    if positive is not None and not 1 <= positive <= data.n_classes:
+        raise ValueError(f"positive class {positive} outside 1..{data.n_classes}")
     return counts
 
 
 def class_statistics(data: LabeledDataset, positive: int | None = None) -> ClassStatistics:
     """Class means, counts and total mean; errors on any empty class."""
-    counts = _nonempty_counts(data)
-    if positive is not None:
-        _check_positive(positive, data.n_classes)
-    dims = data.dims
-    class_means = np.empty((data.n_classes, *dims), dtype=np.float64)
-    for label in range(1, data.n_classes + 1):
-        class_means[label - 1] = data.samples[data.labels == label].mean(axis=0)
-    total_mean = data.samples.mean(axis=0)
-    positive_mean = None if positive is None else class_means[positive - 1].copy()
+    counts = _nonempty_counts(data, positive)
+    class_means = np.stack(
+        [data.samples[data.labels == c].mean(axis=0) for c in range(1, data.n_classes + 1)]
+    )
     return ClassStatistics(
         class_means=class_means,
-        total_mean=total_mean,
+        total_mean=data.samples.mean(axis=0),
         counts=counts,
-        positive_mean=positive_mean,
+        positive_mean=None if positive is None else class_means[positive - 1].copy(),
     )
 
 
-def _class_specific_stacks(data: LabeledDataset, positive: int):
-    """The positive class mean, then the out-of-class (numerator) and
-    in-class (denominator) stacks, every sample centered on that mean.
-    No other class mean is needed, so none is computed."""
-    _nonempty_counts(data)
-    _check_positive(positive, data.n_classes)
-    pos_mask = data.labels == positive
-    if pos_mask.all():
+def _criterion(data: LabeledDataset, method: str, positive: int | None):
+    """The one criterion builder: the scoring reference mean (or None),
+    the class means (lda/mda, else None), and the numerator and
+    denominator stacks, flattened for the vector methods. csda/mcsda
+    center every sample on the positive class mean, out-of-class over
+    in-class; lda/mda take the count-weighted class-mean offsets over the
+    within-class residuals, of the positive-vs-rest problem if a positive
+    class is given."""
+    _nonempty_counts(data, positive)
+    if positive is not None and (data.labels == positive).all():
         raise ValueError("every sample belongs to the positive class")
-    den = data.samples[pos_mask]
-    positive_mean = den.mean(axis=0)
-    num = data.samples[~pos_mask]
-    num -= positive_mean
-    den -= positive_mean
-    return positive_mean, num, den
-
-
-def _multiclass_stacks(data: LabeledDataset, positive: int | None = None):
-    """Statistics, then the count-weighted class-mean offsets (between,
-    numerator) and the within-class residuals (denominator). A positive
-    class relabels the samples {positive -> 1, rest -> 2} first: the
-    binary positive-vs-rest stacks, with ``stats.positive_mean`` set."""
-    if positive is not None:
-        _check_positive(positive, data.n_classes)
-        data = LabeledDataset(
-            samples=data.samples,
-            labels=np.where(data.labels == positive, 1, 2),
-            n_classes=2,
-        )
-        positive = 1
-    stats = class_statistics(data, positive)
-    shape = (-1,) + (1,) * len(data.dims)
-    between = (stats.class_means - stats.total_mean) * np.sqrt(
-        stats.counts
-    ).reshape(shape)
-    within = stats.class_means[data.labels - 1]
-    np.subtract(data.samples, within, out=within)
-    return stats, between, within
+    if method in _CLASS_SPECIFIC:
+        if positive is None:
+            raise ValueError(
+                f"{method} is class-specific: pass --positive-class or --one-vs-rest"
+            )
+        pos_mask = data.labels == positive
+        den = data.samples[pos_mask]
+        reference_mean = den.mean(axis=0)
+        num = data.samples[~pos_mask]
+        num -= reference_mean
+        den -= reference_mean
+        class_means = None
+    else:
+        if positive is not None:
+            data = LabeledDataset(
+                samples=data.samples,
+                labels=np.where(data.labels == positive, 1, 2),
+                n_classes=2,
+            )
+        stats = class_statistics(data, None if positive is None else 1)
+        reference_mean, class_means = stats.positive_mean, stats.class_means
+        shape = (-1,) + (1,) * len(data.dims)
+        num = (class_means - stats.total_mean) * np.sqrt(stats.counts).reshape(shape)
+        den = class_means[data.labels - 1]
+        np.subtract(data.samples, den, out=den)
+    if method in VECTOR_METHODS:
+        num, den = _flatten_samples(num), _flatten_samples(den)
+    return reference_mean, class_means, num, den
 
 
 def _gram(h: np.ndarray) -> np.ndarray:
@@ -302,15 +294,13 @@ def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
 def lda_scatters(data: LabeledDataset) -> ScatterPair:
     """Between-class (numerator) and within-class (denominator) scatters
     of the vectorized samples."""
-    _, between, within = _multiclass_stacks(data)
-    return _scatter_pair(_flatten_samples(between), _flatten_samples(within))
+    return _scatter_pair(*_criterion(data, "lda", None)[2:])
 
 
 def csda_scatters(data: LabeledDataset, positive: int) -> ScatterPair:
     """Out-of-class (numerator) and in-class (denominator) scatters, both
     centered on the positive class mean, over vectorized samples."""
-    _, num, den = _class_specific_stacks(data, positive)
-    return _scatter_pair(_flatten_samples(num), _flatten_samples(den))
+    return _scatter_pair(*_criterion(data, "csda", positive)[2:])
 
 
 def mode_k_class_specific_scatters(
@@ -324,16 +314,14 @@ def mode_k_class_specific_scatters(
     U U^T: negatives into the numerator, positives into the denominator.
     """
     ws = _check_projections(projections, data.dims, skip=mode)
-    _, num, den = _class_specific_stacks(data, positive)
-    return _scatter_pair(num, den, ws, mode)
+    return _scatter_pair(*_criterion(data, "mcsda", positive)[2:], ws, mode)
 
 
 def mda_mode_scatters(data: LabeledDataset, projections, mode: int) -> ScatterPair:
     """Mode-`mode` between-class (count-weighted) and within-class
     scatters for the multi-class tensor criterion."""
     ws = _check_projections(projections, data.dims, skip=mode)
-    _, between, within = _multiclass_stacks(data)
-    return _scatter_pair(between, within, ws, mode)
+    return _scatter_pair(*_criterion(data, "mda", None)[2:], ws, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +337,12 @@ def _ratio(hs, w: np.ndarray) -> float:
     return num_norm / den_norm if den_norm > 0 else math.inf
 
 
-def _objective(num: np.ndarray, den: np.ndarray, projections) -> float:
-    """Ratio of the projected squared norms of the two stacks, taken on
-    the last mode's unfoldings as the fit's last solve takes it.
-
-    A single matrix for multi-mode stacks projects the flattened samples
-    (the vector-method route); otherwise there is one matrix per mode.
-    """
-    if len(projections) == 1 and num.ndim > 2:
-        num, den = _flatten_samples(num), _flatten_samples(den)
+def _objective(data: LabeledDataset, methods, positive, projections) -> float:
+    """The criterion of `methods` (vector, tensor) at `projections`,
+    taken on the last mode's unfoldings as the fit's last solve takes it;
+    a single matrix takes the vector method, so projects flat samples."""
+    method = methods[0] if len(projections) == 1 else methods[1]
+    num, den = _criterion(data, method, positive)[2:]
     ws = _check_projections(projections, num.shape[1:])
     last = len(ws) - 1
     return _ratio(_unfoldings(num, den, ws, last), ws[last])
@@ -370,14 +355,13 @@ def class_specific_objective(data: LabeledDataset, positive: int, projections) -
     `projections` may be one matrix per mode, or a single matrix applied
     to the vectorized samples (the vector-method route).
     """
-    _, num, den = _class_specific_stacks(data, positive)
-    return _objective(num, den, projections)
+    return _objective(data, ("csda", "mcsda"), positive, projections)
 
 
 def multiclass_objective(data: LabeledDataset, projections) -> float:
-    """Ratio of projected between-class to within-class scatter."""
-    _, between, within = _multiclass_stacks(data)
-    return _objective(between, within, projections)
+    """Ratio of projected between-class to within-class scatter; a single
+    matrix projects the vectorized samples."""
+    return _objective(data, ("lda", "mda"), None, projections)
 
 
 def _subspace_projector(w: np.ndarray, strict: bool = False) -> np.ndarray:
@@ -463,12 +447,6 @@ def _subspace_dims(method: str, subspace_dims, dims):
     return sub, sub
 
 
-def _init_projections(dims, sub_dims, init: str) -> list[np.ndarray]:
-    if init == "ones":
-        return [np.ones((i, j)) for i, j in zip(dims, sub_dims)]
-    return [np.eye(i, j) for i, j in zip(dims, sub_dims)]
-
-
 def _sweep(layouts, ws, sub_dims, ridge: float) -> float:
     """One Gauss-Seidel sweep over the numerator's and the denominator's
     per-mode layouts: solve each mode's pencil in turn, every other mode
@@ -486,7 +464,11 @@ def _sweep(layouts, ws, sub_dims, ridge: float) -> float:
 def _alternate(layouts, ws, sub_dims, config):
     """Sweeps until the summed projector distance between consecutive
     sweeps drops to `eps`; returns the objective and distance traces and
-    whether that happened within `max_iter` sweeps."""
+    whether that happened within `max_iter` sweeps. One sweep solves a
+    one-mode criterion jointly, so it is reported as one converged sweep,
+    without the projector check."""
+    if len(ws) == 1:
+        return [_sweep(layouts, ws, sub_dims, config.reg_lambda)], [0.0], True
     # the all-ones init is rank one, so the first sweep's distance uses
     # the truncated column-space projector rather than the strict form
     prev = [_subspace_projector(w) for w in ws]
@@ -513,29 +495,19 @@ def _fit(
     class (csda/mcsda need one; lda/mda train the binary positive-vs-rest
     problem with one and the multi-class criterion without).
 
-    Builds the criterion's two stacks once and lays each out once per
-    mode, then runs Gauss-Seidel sweeps of per-mode eigensolves over the
-    layouts. A vector method is the one-mode case: both stacks are
-    flattened, so a single sweep solves the pencil jointly and is
-    reported as one trivially converged sweep, without the projector
-    check.
+    Builds the criterion's two stacks once (:func:`_criterion`) and lays
+    each out once per mode, then runs Gauss-Seidel sweeps of per-mode
+    eigensolves over the layouts (:func:`_alternate`). A vector method is
+    the one-mode case: its stacks are flattened, so one sweep solves the
+    pencil jointly.
     """
     start = time.perf_counter()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    vector = method in VECTOR_METHODS
     subspace, sub_dims = _subspace_dims(method, config.subspace_dims, data.dims)
-    if method in _CLASS_SPECIFIC:
-        if positive is None:
-            raise ValueError(
-                f"{method} is class-specific: pass --positive-class or --one-vs-rest"
-            )
-        reference_mean, num, den = _class_specific_stacks(data, positive)
-        class_means = None
-    else:
-        stats, num, den = _multiclass_stacks(data, positive)
-        reference_mean, class_means = stats.positive_mean, stats.class_means
-        n_classes = len(stats.counts)
+    reference_mean, class_means, num, den = _criterion(data, method, positive)
+    if class_means is not None:
+        n_classes = len(class_means)
         if n_classes < 2:
             raise ValueError(f"{method} needs at least two classes")
         # the between-class scatter has rank at most C - 1
@@ -544,24 +516,17 @@ def _fit(
                 f"lda subspace dimension {subspace} exceeds n_classes - 1 = "
                 f"{n_classes - 1}"
             )
-    if vector:
-        num, den = _flatten_samples(num), _flatten_samples(den)
-    ws = _init_projections(num.shape[1:], sub_dims, config.init)
+    ones = config.init == "ones"
+    ws = [np.ones((i, j)) if ones else np.eye(i, j) for i, j in zip(num.shape[1:], sub_dims)]
     layouts = [[_mode_layout(s, k) for k in range(len(ws))] for s in (num, den)]
     del num, den  # free the stacks: the sweeps read only the layouts
-    if vector:
-        objective = _sweep(layouts, ws, sub_dims, config.reg_lambda)
-        objective_trace, convergence_trace, converged = [objective], [0.0], True
-    else:
-        objective_trace, convergence_trace, converged = _alternate(
-            layouts, ws, sub_dims, config
+    objective_trace, convergence_trace, converged = _alternate(layouts, ws, sub_dims, config)
+    if not converged:
+        logger.warning(
+            "%s fit for positive class %s did not converge: %d sweeps "
+            "(max_iter) ended at distance %.3g > eps %.3g",
+            method, positive, len(convergence_trace), convergence_trace[-1], config.eps,
         )
-        if not converged:
-            logger.warning(
-                "%s fit for positive class %s did not converge: %d sweeps "
-                "(max_iter) ended at distance %.3g > eps %.3g",
-                method, positive, len(convergence_trace), convergence_trace[-1], config.eps,
-            )
     report = FitReport(
         objective_trace=objective_trace,
         convergence_trace=convergence_trace,
@@ -709,12 +674,8 @@ def _score_matrix(models, samples) -> np.ndarray:
 
 
 def score_batch(model: DiscriminantModel, samples) -> np.ndarray:
-    """Similarity scores of a (N, *input_dims) stack, one per sample.
-
-    Each score is 1 / (1 + d), where d is the Frobenius distance between
-    the projected sample and the projected reference mean. The stack and
-    the reference mean are each projected once.
-    """
+    """Similarity scores 1 / (1 + d) of a (N, *input_dims) stack, one per
+    sample, as :func:`_score_matrix` takes them."""
     return _score_matrix([model], samples)[0]
 
 

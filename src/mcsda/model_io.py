@@ -8,20 +8,27 @@ manifest. Class-specific models additionally store the reference mean as
 ``class_means.bin``, one stack with the class as its last axis. Every
 file goes through the codec of :mod:`mcsda.datasets`, so a missing or
 truncated matrix file and a malformed ``model.json`` fail the same way
-a bad dataset does. Round trips are bit exact.
+a bad dataset does, and a save is as atomic as a dataset save. Round
+trips are bit exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import DatasetFormatError, _manifest_entries, _read_array, _read_json, _write_array
+from .datasets import (
+    DatasetFormatError,
+    _manifest_entries,
+    _read_array,
+    _read_json,
+    _staged_directory,
+    _write_array,
+)
 from .discriminant import (
     METHODS,
     VECTOR_METHODS,
@@ -35,40 +42,21 @@ __all__ = ["save_model", "load_model"]
 
 MODEL_VERSION = 1
 MODEL_NAME = "model.json"
-# names of the matrix files save_model writes
-MATRIX_FILE = re.compile(r"W\d+\.bin|mean\.bin|class_means\.bin")
 
 
 def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
-    """Write `model` to directory `path`; refuses to overwrite unless
-    `force` is set. model.json goes last so its presence marks a complete
-    directory; a forced overwrite removes the old model.json first, so an
-    interrupted one leaves no loadable mix of old and new matrices. The
-    save then removes the matrix files that the new model.json does not
-    list."""
-    root = Path(path)
-    manifest_path = root / MODEL_NAME
-    if manifest_path.exists():
-        if not force:
-            raise FileExistsError(
-                f"refusing to overwrite existing model at {root} (use force)"
-            )
-        manifest_path.unlink()
-    root.mkdir(parents=True, exist_ok=True)
-    projections = []
-    for k, w in enumerate(model.projections, start=1):
-        name = f"W{k}.bin"
-        _write_array(root / name, w)
-        projections.append({"file": name, "rows": w.shape[0], "cols": w.shape[1]})
+    """Write `model` to directory `path`; refuses to overwrite an existing
+    model unless `force` is set, and to write into a non-empty directory
+    that holds no model. The files are written into a staging directory
+    that is then renamed into place, as :func:`mcsda.datasets.save_dataset`
+    does, so an interrupted save leaves `path` as it was."""
+    files = {f"W{k}.bin": w for k, w in enumerate(model.projections, start=1)}
+    sub = model.subspace_dims
     doc = {
         "version": MODEL_VERSION,
         "method": model.method,
         "input_dims": list(model.input_dims),
-        "subspace_dims": (
-            list(model.subspace_dims)
-            if isinstance(model.subspace_dims, tuple)
-            else int(model.subspace_dims)
-        ),
+        "subspace_dims": list(sub) if isinstance(sub, tuple) else int(sub),
         "positive_class": model.positive_class,
         "lambda": model.config.reg_lambda,
         "max_iter": model.config.max_iter,
@@ -76,27 +64,27 @@ def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
         "init": model.config.init,
         "seed": model.config.seed,
         "parameter_count": model.fit_report.parameter_count,
-        "projections": projections,
+        "projections": [
+            {"file": name, "rows": w.shape[0], "cols": w.shape[1]} for name, w in files.items()
+        ],
         "reference_mean": None,
         "class_means": None,
         "fit_report": asdict(model.fit_report),
     }
     if model.reference_mean is not None:
-        _write_array(root / "mean.bin", model.reference_mean)
+        files["mean.bin"] = model.reference_mean
         doc["reference_mean"] = {"file": "mean.bin", "dims": list(model.input_dims)}
     if model.class_means is not None:
-        _write_array(root / "class_means.bin", np.moveaxis(model.class_means, 0, -1))
+        files["class_means.bin"] = np.moveaxis(model.class_means, 0, -1)
         doc["class_means"] = {
             "file": "class_means.bin",
             "count": len(model.class_means),
             "dims": list(model.input_dims),
         }
-    manifest_path.write_text(json.dumps(doc, indent=2) + "\n")
-    listed = [*projections, doc["reference_mean"], doc["class_means"]]
-    keep = {entry["file"] for entry in listed if entry is not None}
-    for stale in root.iterdir():
-        if MATRIX_FILE.fullmatch(stale.name) and stale.name not in keep:
-            stale.unlink()
+    with _staged_directory(Path(path), MODEL_NAME, "model", force) as root:
+        for name, array in files.items():
+            _write_array(root / name, array)
+        (root / MODEL_NAME).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _read_finite(path: Path, shape) -> np.ndarray:

@@ -222,6 +222,61 @@ def test_train_force_replaces_previous_model_files(tmp_path):
     assert load_model(out).method == "csda"
 
 
+def test_train_refuses_an_existing_model_before_fitting(tmp_path, monkeypatch, capsys):
+    import mcsda.cli
+
+    data = make_synth(tmp_path)
+    out = tmp_path / "ovr"
+    assert run(
+        "train", "--data", str(data), "--method", "csda", "--dims", "2",
+        "--one-vs-rest", "--out", str(out),
+    ) == 0
+    for p in (out / "class_1").iterdir():
+        p.unlink()
+    (out / "class_1").rmdir()
+
+    def fit(*args, **kwargs):
+        raise AssertionError("fitted before checking --out")
+
+    monkeypatch.setattr(mcsda.cli, "fit_one_vs_rest", fit)
+    code = run(
+        "train", "--data", str(data), "--method", "csda", "--dims", "2",
+        "--one-vs-rest", "--out", str(out),
+    )
+    assert code == 1
+    assert f"refusing to overwrite existing model at {out / 'class_2'}" in capsys.readouterr().err
+    assert not (out / "class_1").exists()
+
+
+def test_train_force_drops_models_of_classes_no_longer_in_the_data(tmp_path):
+    out = tmp_path / "ovr"
+    common = ("--method", "csda", "--dims", "2", "--one-vs-rest", "--out", str(out))
+    assert run("train", "--data", str(make_synth(tmp_path, "four", classes=4)), *common) == 0
+    three = make_synth(tmp_path, "three", classes=3)
+    assert run("train", "--data", str(three), "--force", *common) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "class_1", "class_2", "class_3", "fit_report.json"
+    ]
+    assert run(
+        "eval", "--models", str(out), "--data", str(three), "--task", "classify",
+        "--report", str(tmp_path / "r.json"),
+    ) == 0
+
+
+@pytest.mark.parametrize("force", [(), ("--force",)])
+def test_train_refuses_a_directory_holding_no_model(tmp_path, capsys, force):
+    data = make_synth(tmp_path)
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    code = run(
+        "train", "--data", str(data), "--method", "csda", "--dims", "2",
+        "--positive-class", "1", "--out", str(data), *force,
+    )
+    assert code == 1
+    assert f"refusing to write a model into {data}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -425,6 +480,17 @@ def test_bench_smoke(tmp_path, capsys):
         stored["csda_seconds"] / stored["mcsda_seconds"]
     )
     assert stored["predicted_ratio"] > 0
+
+
+def test_bench_report_creates_parent_directories(tmp_path):
+    report_path = tmp_path / "nodir" / "sub" / "bench.json"
+    code = run(
+        "bench", "--dims", "4x3", "--subspace", "2x2", "--n", "12",
+        "--repeats", "1", "--max-iter", "2", "--report", str(report_path),
+    )
+    assert code == 0
+    assert json.loads(report_path.read_text())["dims"] == [4, 3]
+    assert [p.name for p in report_path.parent.iterdir()] == ["bench.json"]
 
 
 def test_bench_subspace_must_match_dims(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_overwrite_refused(tmp_path, rng):
     with pytest.raises(FileExistsError, match="force"):
         save_dataset(ds, tmp_path / "ds")
     save_dataset(ds, tmp_path / "ds", force=True)
+
+
+def test_saved_directory_has_plain_mkdir_mode(tmp_path, rng):
+    ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=2)
+    (tmp_path / "plain").mkdir()
+    mode = (tmp_path / "plain").stat().st_mode
+    save_dataset(ds, tmp_path / "ds")
+    assert (tmp_path / "ds").stat().st_mode == mode
+    save_dataset(ds, tmp_path / "ds", force=True)
+    assert (tmp_path / "ds").stat().st_mode == mode
 
 
 def test_truncated_data_bin(tmp_path, rng):
@@ -339,23 +350,44 @@ def test_load_rejects_nonfinite_sample(tmp_path, rng):
         load_dataset(tmp_path / "d")
 
 
-def test_interrupted_force_overwrite_is_not_loadable(tmp_path, rng, monkeypatch):
-    # the new data.bin is written, then the save dies before labels.csv:
-    # the old manifest must not survive to pair it with the old labels
+def snapshot(root):
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def test_interrupted_force_overwrite_keeps_old_dataset(tmp_path, rng, monkeypatch):
+    # the save dies after writing data.bin, or at the rename that swaps the
+    # new directory in: the old dataset must still load, byte for byte,
+    # and nothing may be left beside it
     import mcsda.datasets as dsmod
 
     old = random_dataset(rng, dims=(2, 3), n_classes=2, per_class=2)
     save_dataset(old, tmp_path / "ds")
-    real_write = dsmod._write_array
+    before = snapshot(tmp_path / "ds")
+    real_write, real_rename = dsmod._write_array, dsmod.os.rename
 
     def write_then_fail(path, array):
         real_write(path, array)
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(dsmod, "_write_array", write_then_fail)
+    def fail_swap_in(src, dst):
+        if Path(dst).name == "ds" and not Path(src).name.endswith("-old"):
+            raise OSError("disk full")
+        real_rename(src, dst)
+
     new = random_dataset(rng, dims=(2, 3), n_classes=2, per_class=2)
+    for target, name, fake in (
+        (dsmod, "_write_array", write_then_fail),
+        (dsmod.os, "rename", fail_swap_in),
+    ):
+        monkeypatch.setattr(target, name, fake)
+        with pytest.raises((RuntimeError, OSError), match="disk full"):
+            save_dataset(new, tmp_path / "ds", force=True)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ds"]
+        assert snapshot(tmp_path / "ds") == before
+        assert np.array_equal(load_dataset(tmp_path / "ds").samples, old.samples)
+    # a failed fresh save leaves no directory at all
+    monkeypatch.setattr(dsmod, "_write_array", write_then_fail)
     with pytest.raises(RuntimeError, match="disk full"):
-        save_dataset(new, tmp_path / "ds", force=True)
-    monkeypatch.undo()
-    with pytest.raises(FileNotFoundError, match="manifest.json"):
-        load_dataset(tmp_path / "ds")
+        save_dataset(new, tmp_path / "fresh")
+    assert [p.name for p in tmp_path.iterdir()] == ["ds"]

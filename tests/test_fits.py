@@ -192,14 +192,30 @@ def test_mda_equals_lda_one_mode(rng):
     assert max_angle(vec.projections[0], ten.projections[0]) < 1e-6
 
 
-def test_mcsda_one_mode_converges_in_two_sweeps(rng):
-    # a single mode makes the problem jointly solvable, so sweep two
-    # reproduces sweep one and the projector distance hits zero
-    ds = separable(rng, dims=(5,), n_classes=2, per_class=10)
-    model = fit_mcsda(ds, 1, TrainConfig(subspace_dims=2, max_iter=10))
-    assert model.fit_report.iterations_run == 2
-    assert model.fit_report.converged
-    assert model.fit_report.convergence_trace[-1] <= 1e-5
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize(
+    "fit_vector, fit_tensor",
+    [
+        (lambda ds, cfg: fit_csda(ds, 2, cfg), lambda ds, cfg: fit_mcsda(ds, 2, cfg)),
+        (fit_lda, fit_mda),
+    ],
+    ids=["positive", "multiclass"],
+)
+def test_one_mode_tensor_fit_equals_vector_fit(rng, fit_vector, fit_tensor, d):
+    # one sweep solves a one-mode criterion jointly: the tensor method is
+    # the vector method, bit for bit, fit report included
+    ds = separable(rng, dims=(9,), n_classes=4, per_class=10)
+    vec = fit_vector(ds, TrainConfig(subspace_dims=d, max_iter=10))
+    ten = fit_tensor(ds, TrainConfig(subspace_dims=(d,), max_iter=10))
+    assert len(ten.projections) == 1
+    assert np.array_equal(ten.projections[0], vec.projections[0])
+    for name in ("reference_mean", "class_means"):
+        a, b = getattr(vec, name), getattr(ten, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    for name in ("objective_trace", "convergence_trace", "iterations_run", "converged"):
+        assert getattr(ten.fit_report, name) == getattr(vec.fit_report, name)
+    assert ten.fit_report.iterations_run == 1
+    assert ten.fit_report.convergence_trace == [0.0]
 
 
 @pytest.mark.parametrize("method", ["lda", "csda"])

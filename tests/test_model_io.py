@@ -163,25 +163,31 @@ def test_missing_projection_file(rng, tmp_path):
 
 
 def test_manifest_written_last(rng, tmp_path, monkeypatch):
-    # a crash before the manifest write must not leave a loadable directory
+    # model.json is the staging directory's last file; a crash at its
+    # write leaves no model directory, and nothing beside it
     import mcsda.model_io as mio
 
     model = fitted(rng, "csda")
+    written = []
+    real_write, real_write_text = mio._write_array, mio.Path.write_text
 
-    real_write_text = mio.Path.write_text
+    def record(path, array):
+        written.append(path.name)
+        real_write(path, array)
 
     def boom(self, *args, **kwargs):
+        written.append(self.name)
         if self.name == "model.json":
             raise RuntimeError("disk full")
         return real_write_text(self, *args, **kwargs)
 
+    monkeypatch.setattr(mio, "_write_array", record)
     monkeypatch.setattr(mio.Path, "write_text", boom)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="disk full"):
         save_model(model, tmp_path / "m")
     monkeypatch.undo()
-    assert (tmp_path / "m" / "W1.bin").exists()
-    with pytest.raises(FileNotFoundError):
-        load_model(tmp_path / "m")
+    assert written == ["W1.bin", "mean.bin", "model.json"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -201,13 +207,39 @@ def test_force_overwrite_leaves_only_listed_files(rng, tmp_path, first, second):
     assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
 
-def test_interrupted_force_overwrite_is_not_loadable(rng, tmp_path, monkeypatch):
-    # old and new models have the same W shapes, so a manifest left over
-    # from the old model would load the new W1.bin beside the old W2.bin
+def test_save_refuses_a_nonempty_directory_without_its_manifest(rng, tmp_path):
+    # a forced save replaces the whole directory, so it must never take
+    # over one that holds something other than its own kind
+    from mcsda import save_dataset
+
+    ds = random_dataset(rng, dims=(4, 3), n_classes=3, per_class=2)
+    save_dataset(ds, tmp_path / "ds")
+    save_model(fitted(rng, "mcsda"), tmp_path / "m")
+    (tmp_path / "loose").mkdir()
+    (tmp_path / "loose" / "notes.txt").write_text("keep me")
+    for target in ("ds", "loose"):
+        with pytest.raises(FileExistsError, match="holds no model.json"):
+            save_model(fitted(rng, "mcsda"), tmp_path / target, force=True)
+    with pytest.raises(FileExistsError, match="holds no manifest.json"):
+        save_dataset(ds, tmp_path / "m", force=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "loose", "m"]
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+        "data.bin", "labels.csv", "manifest.json"
+    ]
+    assert (tmp_path / "loose" / "notes.txt").read_text() == "keep me"
+    load_model(tmp_path / "m")
+
+
+def test_interrupted_force_overwrite_keeps_old_model(rng, tmp_path, monkeypatch):
+    # the save dies after writing W1.bin of a model with the same W
+    # shapes: the old model must still load, byte for byte, and nothing
+    # may be left beside it
     import mcsda.model_io as mio
 
     root = tmp_path / "m"
-    save_model(fitted(rng, "mcsda"), root)
+    old = fitted(rng, "mcsda")
+    save_model(old, root)
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
     real_write = mio._write_array
     calls = []
 
@@ -222,8 +254,9 @@ def test_interrupted_force_overwrite_is_not_loadable(rng, tmp_path, monkeypatch)
         save_model(fitted(rng, "mcsda"), root, force=True)
     monkeypatch.undo()
     assert calls == ["W1.bin", "W2.bin"]
-    with pytest.raises(FileNotFoundError, match="model.json"):
-        load_model(root)
+    assert [p.name for p in tmp_path.iterdir()] == ["m"]
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+    assert_models_equal(load_model(root), old)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mcsda import (
     LabeledDataset,
     TrainConfig,
+    class_specific_objective,
     class_statistics,
     csda_scatters,
     fit_class_specific,
@@ -21,9 +22,10 @@ from mcsda import (
     mda_mode_scatters,
     mode_k_class_specific_scatters,
     mode_product,
+    multiclass_objective,
     unfold,
 )
-from mcsda.discriminant import _flatten_samples, _gram, _scatter_pair
+from mcsda.discriminant import _fit, _flatten_samples, _gram, _scatter_pair
 from mcsda.tensor_ops import _mode_layout, _project_layout
 
 from conftest import assert_scatter_valid, random_dataset
@@ -158,13 +160,43 @@ def test_class_specific_reference_is_class_statistics_mean(rng):
             assert np.array_equal(model.reference_mean, expected)
 
 
-def test_class_specific_stacks_check_every_class(rng):
+# every public criterion function and the fit engine, called with a
+# positive class; those without one drop it
+W = [np.ones((2, 1))]
+CRITERIA = {
+    "lda_scatters": lambda ds, positive: lda_scatters(ds),
+    "csda_scatters": csda_scatters,
+    "mode_k_class_specific_scatters": lambda ds, positive: (
+        mode_k_class_specific_scatters(ds, positive, W, 0)
+    ),
+    "mda_mode_scatters": lambda ds, positive: mda_mode_scatters(ds, W, 0),
+    "class_specific_objective": lambda ds, positive: class_specific_objective(ds, positive, W),
+    "multiclass_objective": lambda ds, positive: multiclass_objective(ds, W),
+    **{
+        f"fit_{method}": lambda ds, positive, method=method: _fit(
+            ds, method, positive, TrainConfig(subspace_dims=1)
+        )
+        for method in ("lda", "csda", "mda", "mcsda")
+    },
+}
+TAKE_POSITIVE = [
+    name for name in CRITERIA
+    if name not in ("lda_scatters", "mda_mode_scatters", "multiclass_objective")
+]
+
+
+@pytest.mark.parametrize("name", list(CRITERIA))
+def test_criterion_rejects_an_empty_class(name):
     empty = LabeledDataset(samples=np.zeros((3, 2)), labels=np.array([1, 3, 3]), n_classes=3)
-    with pytest.raises(ValueError, match="class 2 is empty"):
-        csda_scatters(empty, 1)
+    with pytest.raises(ValueError, match="^class 2 is empty$"):
+        CRITERIA[name](empty, 1)
+
+
+@pytest.mark.parametrize("name", TAKE_POSITIVE)
+def test_criterion_rejects_a_positive_class_out_of_range(rng, name):
     ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=3)
-    with pytest.raises(ValueError, match="positive class 5 outside"):
-        csda_scatters(ds, 5)
+    with pytest.raises(ValueError, match=r"^positive class 5 outside 1\.\.2$"):
+        CRITERIA[name](ds, 5)
 
 
 # ---------------------------------------------------------------------------
