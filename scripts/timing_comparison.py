@@ -2,8 +2,8 @@
 
 Each size entry is dims:subspace (for example 40x30:7x7). For every
 size the script runs ``mcsda bench`` once, which times one vectorized
-fit at the product dimension and one alternating multilinear fit, best
-of --repeats, and prints the measured wall-time ratio next to the
+fit at the product dimension and one alternating multilinear fit, the
+median of --repeats each, and prints the measured wall-time ratio next to the
 dominant-term prediction (one eigensolve at the product dimension
 against max_iter sweeps of per-mode solves).
 

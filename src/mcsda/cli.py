@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import os
-import shutil
 import statistics
 import sys
 import time
@@ -26,6 +25,7 @@ from .datasets import (
     DatasetFormatError,
     SynthSpec,
     _check_target,
+    _staged_directory,
     load_dataset,
     save_dataset,
     synth_generate,
@@ -35,6 +35,7 @@ from .discriminant import (
     METHODS,
     VECTOR_METHODS,
     TrainConfig,
+    _CLASS_SPECIFIC,
     _fit,
     _score_matrix,
     fit_mcsda,
@@ -49,7 +50,7 @@ from .metrics import (
     classification_report,
     verification_report,
 )
-from .model_io import MODEL_NAME, load_model, save_model
+from .model_io import MODEL_NAME, MODEL_OUTPUTS, _write_model, load_model
 
 logger = logging.getLogger(__name__)
 
@@ -118,29 +119,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    data = load_dataset(args.data)
+    """Fit, then write the models and fit_report.json as one staged unit."""
     method = args.method
+    if method in _CLASS_SPECIFIC and args.positive_class is None and not args.one_vs_rest:
+        raise ValueError(f"{method} is class-specific: pass --positive-class or --one-vs-rest")
+    data = load_dataset(args.data)
     config = _train_config(args, method)
     out = Path(args.out)
-    n = data.n_classes
-    dirs = [out / f"class_{c}" for c in range(1, n + 1)] if args.one_vs_rest else [out]
-    for model_dir in dirs:  # refuse before fitting, not after
-        _check_target(model_dir, MODEL_NAME, "model", args.force)
+    _check_target(out, MODEL_OUTPUTS, "model", args.force)  # refuse before fitting, not after
     models = (
         fit_one_vs_rest(data, method, config) if args.one_vs_rest
         else [_fit(data, method, args.positive_class, config)]
     )
-    for model, model_dir in zip(models, dirs):
-        save_model(model, model_dir, force=args.force)
-    if args.one_vs_rest and args.force:
-        # the new set replaces the old one: drop the classes it lacks
-        for old in {p.parent for p in out.glob(f"class_*/{MODEL_NAME}")} - set(dirs):
-            if old.name.removeprefix("class_").isdigit():
-                shutil.rmtree(old)
     entries = [
         {"class": m.positive_class, "method": method, **asdict(m.fit_report)} for m in models
     ]
-    _write_report(out / "fit_report.json", {"version": 1, "method": method, "models": entries})
+    report = {"version": 1, "method": method, "models": entries}
+    with _staged_directory(out, MODEL_OUTPUTS, "model", args.force) as stage:
+        for m in models:
+            _write_model(m, stage / f"class_{m.positive_class}" if args.one_vs_rest else stage)
+        (stage / "fit_report.json").write_text(json.dumps(report, indent=2) + "\n")
     for entry in entries:
         tag = "" if entry["class"] is None else f" class {entry['class']}"
         print(
@@ -157,14 +155,12 @@ def _expand_model_dirs(spec: str) -> list[Path]:
     for chunk in spec.split(","):
         root = Path(chunk)
         if (root / MODEL_NAME).exists():
-            paths.append(root)
-            continue
-        if not root.is_dir():
-            raise FileNotFoundError(f"no model directory at {root}")
-        subdirs = sorted(p for p in root.iterdir() if (p / MODEL_NAME).exists())
-        if not subdirs:
-            raise FileNotFoundError(f"no model.json under {root}")
-        paths.extend(subdirs)
+            found = [root]
+        else:  # a directory of models; a dot-named one is a save's stage
+            found = sorted(p.parent for p in root.glob(f"[!.]*/{MODEL_NAME}"))
+        if not found:
+            raise FileNotFoundError(f"no {MODEL_NAME} in or under {root}")
+        paths.extend(found)
     return paths
 
 
@@ -258,6 +254,8 @@ def cmd_bench(args) -> int:
     the scoring throughput of each fitted model."""
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.n < 2:
+        raise ValueError(f"--n must be >= 2, one sample per class, got {args.n}")
     dims = args.dims
     sub = args.subspace
     if len(sub) != len(dims):
@@ -266,7 +264,7 @@ def cmd_bench(args) -> int:
             f"{'x'.join(map(str, sub))} for {'x'.join(map(str, dims))}"
         )
     mcsda_parameters = parameter_count("mcsda", dims, sub)
-    per_class = max(1, args.n // 2)
+    per_class = args.n // 2
     data = synth_generate(
         SynthSpec(
             dims=dims,
@@ -286,29 +284,20 @@ def cmd_bench(args) -> int:
     )
     vec_cfg = replace(ten_cfg, subspace_dims=d_vector)
 
-    def best_of(fn):
-        """Best wall time over the repeats, and the last fitted model."""
+    def median_time(fn):
+        """The median wall time of `fn` over the repeats, and its last result."""
         times = []
         for _ in range(args.repeats):
             start = time.perf_counter()
-            model = fn()
+            result = fn()
             times.append(time.perf_counter() - start)
-        return min(times), model
+        return statistics.median(times), result
 
-    def scores_per_s(model) -> float:
-        """Samples scored per second, from the median of the repeats."""
-        times = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            score_batch(model, data.samples)
-            times.append(time.perf_counter() - start)
-        return data.count / statistics.median(times)
-
-    csda_seconds, csda_model = best_of(lambda: fit_csda(data, 1, vec_cfg))
-    mcsda_seconds, mcsda_model = best_of(lambda: fit_mcsda(data, 1, ten_cfg))
+    csda_seconds, csda_model = median_time(lambda: fit_csda(data, 1, vec_cfg))
+    mcsda_seconds, mcsda_model = median_time(lambda: fit_mcsda(data, 1, ten_cfg))
     ratio = csda_seconds / mcsda_seconds
-    csda_scores_per_s = scores_per_s(csda_model)
-    mcsda_scores_per_s = scores_per_s(mcsda_model)
+    csda_scores_per_s = data.count / median_time(lambda: score_batch(csda_model, data.samples))[0]
+    mcsda_scores_per_s = data.count / median_time(lambda: score_batch(mcsda_model, data.samples))[0]
 
     # dominant-term cost model: one eigensolve at prod(dims) for the
     # vectorized fit vs max_iter sweeps of per-mode solves

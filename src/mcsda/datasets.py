@@ -16,9 +16,10 @@ naming the manifest). A stack such as ``data.bin`` is one array with the
 count as its last axis. ``load_dataset`` reads it straight into one
 array and returns its (count, *dims) view: the samples lie in file
 order, each contiguous and Fortran-ordered, and are not C-contiguous.
-Both saves, of datasets and models, write through ``_staged_directory``:
-into a fresh hidden sibling directory, renamed into place once complete,
-so a failed save leaves the target as it was.
+Every save, of a dataset, a model or a whole model set, writes through
+``_staged_directory``: into a fresh hidden sibling directory, renamed
+into place once complete, so a failed save leaves the target as it was.
+``_check_target`` is its one overwrite rule.
 
 All randomness (splits, synthetic data) goes through numpy's default
 PCG64 ``Generator`` seeded explicitly, so results are reproducible from
@@ -205,41 +206,42 @@ def _manifest_entries(path: Path):
         raise DatasetFormatError(f"{path}: missing or malformed entry: {exc}") from exc
 
 
-def _check_target(root: Path, manifest_name: str, kind: str, force: bool) -> None:
+def _check_target(root: Path, outputs: tuple[str, ...], kind: str, force: bool) -> None:
     """The overwrite rule of every save: `root` may be absent or empty,
-    or hold `manifest_name` if `force` is set; nothing else."""
-    if (root / manifest_name).exists():
+    or, if `force` is set, hold an earlier output (a file matching one of
+    the glob patterns `outputs`); nothing else."""
+    if any(next(root.glob(pattern), None) for pattern in outputs):
         if not force:
             raise FileExistsError(f"refusing to overwrite existing {kind} at {root} (use force)")
     elif root.exists() and (not root.is_dir() or any(root.iterdir())):
         raise FileExistsError(
             f"refusing to write a {kind} into {root}: it is not empty and holds "
-            f"no {manifest_name}"
+            f"no {' or '.join(outputs)}"
         )
 
 
 @contextmanager
-def _staged_directory(root: Path, manifest_name: str, kind: str, force: bool):
+def _staged_directory(root: Path, outputs: tuple[str, ...], kind: str, force: bool):
     """Yield a fresh sibling of `root`, named with a leading dot, for the
-    block to write, then rename it to `root`; an old `root` is renamed
-    aside first and removed last. On failure `root` stays as it was, and
-    nothing is left beside it either way."""
-    _check_target(root, manifest_name, kind, force)
+    block to write whole, then rename it to `root`; an existing `root` is
+    renamed aside first and removed last. On failure `root` stays as it
+    was, and nothing is left beside it either way."""
+    _check_target(root, outputs, kind, force)
     root.parent.mkdir(parents=True, exist_ok=True)
     stage = root.parent / f".{root.name}.{os.getpid()}-{os.urandom(4).hex()}"
+    aside = stage.with_name(stage.name + "-old")
     stage.mkdir()  # the mode a plain mkdir gives, which `root` keeps
     try:
         yield stage
-        if not (root / manifest_name).exists():
-            os.replace(stage, root)  # `root` is absent or an empty directory
-        else:
-            aside = stage.with_name(stage.name + "-old")
+        if root.exists():  # an earlier output, or an empty directory
             os.rename(root, aside)
-            try:
-                os.rename(stage, root)
-            except BaseException:
+        try:
+            os.rename(stage, root)
+        except BaseException:
+            if aside.exists():
                 os.rename(aside, root)
-                raise
+            raise
+        if aside.exists():
             shutil.rmtree(aside)
     finally:
         shutil.rmtree(stage, ignore_errors=True)  # gone already on success
@@ -258,7 +260,7 @@ def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetMani
         data_file="data.bin",
         label_file="labels.csv",
     )
-    with _staged_directory(Path(path), MANIFEST_NAME, "dataset", force) as root:
+    with _staged_directory(Path(path), (MANIFEST_NAME,), "dataset", force) as root:
         _write_array(root / manifest.data_file, np.moveaxis(data.samples, 0, -1))
         (root / manifest.label_file).write_text("".join(f"{int(c)}\n" for c in data.labels))
         (root / MANIFEST_NAME).write_text(json.dumps(manifest.to_json_dict(), indent=2) + "\n")

@@ -231,9 +231,7 @@ def _criterion(data: LabeledDataset, method: str, positive: int | None):
         raise ValueError("every sample belongs to the positive class")
     if method in _CLASS_SPECIFIC:
         if positive is None:
-            raise ValueError(
-                f"{method} is class-specific: pass --positive-class or --one-vs-rest"
-            )
+            raise ValueError(f"{method} is class-specific: it needs a positive class")
         pos_mask = data.labels == positive
         den = data.samples[pos_mask]
         reference_mean = den.mean(axis=0)

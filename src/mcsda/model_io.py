@@ -8,8 +8,13 @@ manifest. Class-specific models additionally store the reference mean as
 ``class_means.bin``, one stack with the class as its last axis. Every
 file goes through the codec of :mod:`mcsda.datasets`, so a missing or
 truncated matrix file and a malformed ``model.json`` fail the same way
-a bad dataset does, and a save is as atomic as a dataset save. Round
-trips are bit exact.
+a bad dataset does. Round trips are bit exact.
+
+``_write_model`` puts one model's files into a directory. ``save_model``
+stages one model, and ``mcsda train`` one model or a one-vs-rest set of
+``class_<c>`` models with its ``fit_report.json``, through
+:func:`mcsda.datasets._staged_directory`: each is written and replaced as
+one unit, over an earlier model or set (``MODEL_OUTPUTS``) only if forced.
 """
 
 from __future__ import annotations
@@ -42,14 +47,20 @@ __all__ = ["save_model", "load_model"]
 
 MODEL_VERSION = 1
 MODEL_NAME = "model.json"
+MODEL_OUTPUTS = (MODEL_NAME, f"class_*/{MODEL_NAME}")
 
 
 def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
-    """Write `model` to directory `path`; refuses to overwrite an existing
-    model unless `force` is set, and to write into a non-empty directory
-    that holds no model. The files are written into a staging directory
-    that is then renamed into place, as :func:`mcsda.datasets.save_dataset`
-    does, so an interrupted save leaves `path` as it was."""
+    """Write `model` to directory `path`, staged as one unit: an existing
+    model or model set there is replaced only if `force` is set, and any
+    other non-empty directory is refused."""
+    with _staged_directory(Path(path), MODEL_OUTPUTS, "model", force) as root:
+        _write_model(model, root)
+
+
+def _write_model(model: DiscriminantModel, root: Path) -> None:
+    """Write the files of `model` into directory `root`, made if absent."""
+    root.mkdir(exist_ok=True)
     files = {f"W{k}.bin": w for k, w in enumerate(model.projections, start=1)}
     sub = model.subspace_dims
     doc = {
@@ -81,10 +92,9 @@ def save_model(model: DiscriminantModel, path, force: bool = False) -> None:
             "count": len(model.class_means),
             "dims": list(model.input_dims),
         }
-    with _staged_directory(Path(path), MODEL_NAME, "model", force) as root:
-        for name, array in files.items():
-            _write_array(root / name, array)
-        (root / MODEL_NAME).write_text(json.dumps(doc, indent=2) + "\n")
+    for name, array in files.items():
+        _write_array(root / name, array)
+    (root / MODEL_NAME).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _read_finite(path: Path, shape) -> np.ndarray:

@@ -142,6 +142,19 @@ def test_train_class_specific_needs_positive(tmp_path, capsys):
         assert "positive-class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, dims", [("csda", "2"), ("mcsda", "2x2")])
+def test_train_refuses_class_specific_without_a_class_before_reading(tmp_path, capsys, method,
+                                                                      dims):
+    code = run(
+        "train", "--data", str(tmp_path / "nope"), "--method", method, "--dims", dims,
+        "--out", str(tmp_path / "m"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{method} is class-specific: pass --positive-class or --one-vs-rest" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_positive_and_ovr_mutually_exclusive(tmp_path):
     data = make_synth(tmp_path)
     with pytest.raises(SystemExit) as err:
@@ -244,7 +257,7 @@ def test_train_refuses_an_existing_model_before_fitting(tmp_path, monkeypatch, c
         "--one-vs-rest", "--out", str(out),
     )
     assert code == 1
-    assert f"refusing to overwrite existing model at {out / 'class_2'}" in capsys.readouterr().err
+    assert f"refusing to overwrite existing model at {out} (use force)" in capsys.readouterr().err
     assert not (out / "class_1").exists()
 
 
@@ -275,6 +288,82 @@ def test_train_refuses_a_directory_holding_no_model(tmp_path, capsys, force):
     assert f"refusing to write a model into {data}" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in data.iterdir()} == before
     assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+
+def snapshot(root):
+    """Every file under `root`, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_failed_forced_retrain_leaves_the_old_set_byte_identical(tmp_path, monkeypatch, capsys):
+    # the disk fills at the 5th matrix write, class 3's W1.bin: no class
+    # of the new set may replace one of the old set, and the old
+    # fit_report.json stays too
+    import errno
+
+    import mcsda.model_io as mio
+
+    data = make_synth(tmp_path)
+    out = train_ovr(tmp_path, data, method="csda", dims="2")
+    before = snapshot(out)
+    real_write, written = mio._write_array, []
+
+    def fill_disk_at_fifth(path, array):
+        written.append(path.name)
+        if len(written) == 5:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        real_write(path, array)
+
+    monkeypatch.setattr(mio, "_write_array", fill_disk_at_fifth)
+    capsys.readouterr()
+    code = run(
+        "train", "--data", str(data), "--method", "csda", "--dims", "3",
+        "--one-vs-rest", "--force", "--out", str(out),
+    )
+    assert code == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert written == ["W1.bin", "mean.bin"] * 2 + ["W1.bin"]
+    assert snapshot(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "ovr"]
+
+
+@pytest.mark.parametrize("force", [(), ("--force",)])
+def test_train_one_vs_rest_refuses_a_dataset_directory(tmp_path, capsys, force):
+    data = make_synth(tmp_path)
+    before = snapshot(data)
+    code = run(
+        "train", "--data", str(data), "--method", "csda", "--dims", "2",
+        "--one-vs-rest", "--out", str(data), *force,
+    )
+    assert code == 1
+    assert f"refusing to write a model into {data}" in capsys.readouterr().err
+    assert snapshot(data) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+
+def test_forced_train_replaces_a_single_model_by_a_set_and_back(tmp_path):
+    data = make_synth(tmp_path)
+    out = tmp_path / "out"
+    report = tmp_path / "r.json"
+    common = ("--data", str(data), "--method", "csda", "--dims", "2", "--out", str(out))
+    assert run("train", *common, "--positive-class", "2") == 0
+    assert run("train", *common, "--one-vs-rest", "--force") == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "class_1", "class_2", "class_3", "fit_report.json"
+    ]
+    assert run(
+        "eval", "--models", str(out), "--data", str(data), "--task", "classify",
+        "--report", str(report),
+    ) == 0
+    assert run("train", *common, "--positive-class", "2", "--force") == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "W1.bin", "fit_report.json", "mean.bin", "model.json"
+    ]
+    assert run(
+        "eval", "--models", str(out), "--data", str(data), "--task", "verify",
+        "--report", str(report),
+    ) == 0
+    assert [e["class"] for e in json.loads(report.read_text())["per_class"]] == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +533,26 @@ def test_eval_malformed_model_json_is_runtime_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "model.json" in err and "input_dims" in err
+
+
+def test_eval_skips_dot_named_model_directories(tmp_path):
+    # a save killed after writing model.json leaves its dot-named stage
+    # beside the model; eval of the parent directory must not read it
+    import shutil
+
+    data = make_synth(tmp_path)
+    parent = tmp_path / "p"
+    assert run(
+        "train", "--data", str(data), "--method", "csda", "--dims", "2",
+        "--positive-class", "1", "--out", str(parent / "m"),
+    ) == 0
+    shutil.copytree(parent / "m", parent / ".m.999999-abcd")
+    report = tmp_path / "r.json"
+    assert run(
+        "eval", "--models", str(parent), "--data", str(data), "--task", "verify",
+        "--report", str(report),
+    ) == 0
+    assert [e["class"] for e in json.loads(report.read_text())["per_class"]] == [1]
 
 
 def test_eval_missing_models_dir(tmp_path, capsys):
@@ -718,6 +827,49 @@ def test_bench_rejects_zero_repeats(monkeypatch, capsys):
     code = run("bench", "--dims", "4x3", "--subspace", "2x2", "--repeats", "0")
     assert code == 2
     assert "--repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-4", "1"])
+def test_bench_rejects_fewer_than_two_samples(monkeypatch, capsys, n):
+    def no_synth(spec):
+        raise AssertionError("bench synthesized data before checking --n")
+
+    monkeypatch.setattr("mcsda.cli.synth_generate", no_synth)
+    code = run("bench", "--dims", "4x3", "--subspace", "2x2", "--n", n)
+    assert code == 2
+    assert f"--n must be >= 2, one sample per class, got {n}" in capsys.readouterr().err
+
+
+def test_bench_times_fits_and_scoring_by_the_median(tmp_path, monkeypatch):
+    # a fake clock that each call moves on by its planned duration: the
+    # report must carry the median of the repeats, not the best
+    import types
+
+    import mcsda.cli as cli
+
+    clock = [0.0]
+
+    def taking(fn, durations):
+        def timed(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            clock[0] += durations.pop(0)
+            return result
+
+        return timed
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(cli, "fit_csda", taking(cli.fit_csda, [3.0, 1.0, 2.0]))
+    monkeypatch.setattr(cli, "fit_mcsda", taking(cli.fit_mcsda, [5.0, 4.0, 6.0]))
+    monkeypatch.setattr(cli, "score_batch", taking(cli.score_batch, [0.5, 0.125, 0.25, 1, 2, 4]))
+    report = tmp_path / "bench.json"
+    assert run(
+        "bench", "--dims", "4x3", "--subspace", "2x2", "--n", "12",
+        "--repeats", "3", "--max-iter", "2", "--report", str(report),
+    ) == 0
+    stored = json.loads(report.read_text())
+    assert (stored["csda_seconds"], stored["mcsda_seconds"]) == (2.0, 5.0)
+    assert stored["ratio_csda_over_mcsda"] == 0.4
+    assert (stored["csda_scores_per_s"], stored["mcsda_scores_per_s"]) == (48.0, 6.0)
 
 
 def test_eval_verify_dataset_without_a_positive_class(tmp_path, capsys):

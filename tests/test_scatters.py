@@ -199,6 +199,18 @@ def test_criterion_rejects_a_positive_class_out_of_range(rng, name):
         CRITERIA[name](ds, 5)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["csda_scatters", "mode_k_class_specific_scatters", "class_specific_objective",
+     "fit_csda", "fit_mcsda"],
+)
+def test_class_specific_criterion_needs_a_positive_class(rng, name):
+    # a library error names what is missing, not a command line flag
+    ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=3)
+    with pytest.raises(ValueError, match=r"^m?csda is class-specific: it needs a positive class$"):
+        CRITERIA[name](ds, None)
+
+
 # ---------------------------------------------------------------------------
 # vectorized scatters
 
