@@ -44,12 +44,7 @@ from .discriminant import (
     parameter_count,
     score_batch,
 )
-from .metrics import (
-    _predict_stack,
-    average_precision,
-    classification_report,
-    verification_report,
-)
+from .metrics import average_precision, classification_report, verification_report
 from .model_io import MODEL_NAME, MODEL_OUTPUTS, _write_model, load_model
 
 logger = logging.getLogger(__name__)
@@ -83,8 +78,14 @@ def _train_config(args, method: str) -> TrainConfig:
         max_iter=args.max_iter,
         eps=args.eps,
         init=args.init,
-        seed=args.seed,
     )
+
+
+def _report_path(text: str) -> str:
+    """--report names a file: an existing directory is refused before any work."""
+    if Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
 
 
 def _write_report(path, doc: dict) -> str:
@@ -179,34 +180,34 @@ def cmd_eval(args) -> int:
         raise RuntimeError(
             f"{args.task} needs class-specific models (no positive class set)"
         )
-    start = time.perf_counter()
     if args.task == "verify":
+        flags = {c: data.labels == c for c in classes}
         for c in classes:
             if classes.count(c) > 1:
                 raise RuntimeError(
                     f"verification needs one model per class, got "
                     f"{classes.count(c)} models for positive class {c}"
                 )
-            if not np.any(data.labels == c):
+            if not flags[c].any():
                 raise RuntimeError(
                     f"dataset {args.data} has no samples of class {c}, the "
                     f"positive class of a model"
                 )
-        per_class_ap: dict[int, float] = {}
-        support: dict[int, int] = {}
-        for c, scores in zip(classes, _score_matrix(models, data.samples)):
-            flags = data.labels == c
-            per_class_ap[c] = average_precision(scores, flags)
-            support[c] = int(flags.sum())
-        report = verification_report(per_class_ap, support)
+    elif classes != list(range(1, data.n_classes + 1)):
+        raise RuntimeError(
+            f"classification needs one model per class 1..{data.n_classes}, "
+            f"got positive classes {classes}"
+        )
+    start = time.perf_counter()
+    scores = _score_matrix(models, data.samples)  # one row per class, in class order
+    if args.task == "verify":
+        report = verification_report(
+            {c: average_precision(row, flags[c]) for c, row in zip(classes, scores)},
+            {c: int(flags[c].sum()) for c in classes},
+        )
     else:
-        if classes != list(range(1, data.n_classes + 1)):
-            raise RuntimeError(
-                f"classification needs one model per class 1..{data.n_classes}, "
-                f"got positive classes {classes}"
-            )
-        preds = _predict_stack(models, data.samples)
-        report = classification_report(data.labels, preds, data.n_classes)
+        # the first maximum, so ties go to the lowest class id
+        report = classification_report(data.labels, np.argmax(scores, axis=0) + 1, data.n_classes)
     seconds = time.perf_counter() - start
     n_scores = len(models) * data.count
     logger.info(
@@ -351,7 +352,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter)
     parser.add_argument("--eps", type=float, default=TrainConfig.eps)
-    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 @functools.cache
@@ -400,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--data", required=True)
     ev.add_argument("--task", choices=("verify", "classify"), required=True)
-    ev.add_argument("--report", required=True, help="path for the JSON report")
+    ev.add_argument("--report", type=_report_path, required=True, help="path for the JSON report")
     ev.set_defaults(func=cmd_eval)
 
     bench = sub.add_parser(
@@ -411,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n", type=int, default=200, help="total sample count")
     bench.add_argument("--repeats", type=int, default=5)
     _add_config_flags(bench)
-    bench.add_argument("--report", help="optional path for a JSON result")
+    bench.add_argument("--seed", type=int, default=0, help="seed of the synthetic data")
+    bench.add_argument("--report", type=_report_path, help="optional path for a JSON result")
     bench.set_defaults(func=cmd_bench)
 
     return parser

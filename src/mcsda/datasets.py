@@ -227,6 +227,7 @@ def _staged_directory(root: Path, outputs: tuple[str, ...], kind: str, force: bo
     renamed aside first and removed last. On failure `root` stays as it
     was, and nothing is left beside it either way."""
     _check_target(root, outputs, kind, force)
+    root = Path(os.path.abspath(root))  # "." has no name and is its own parent
     root.parent.mkdir(parents=True, exist_ok=True)
     stage = root.parent / f".{root.name}.{os.getpid()}-{os.urandom(4).hex()}"
     aside = stage.with_name(stage.name + "-old")
@@ -301,21 +302,20 @@ def _read_labels(path: Path, count: int, n_classes: int) -> np.ndarray:
         )
     try:
         labels = np.array(rows, dtype=np.int64)  # parses each row as int() does
-        bad = np.flatnonzero((labels < 1) | (labels > n_classes))
+        if ((labels >= 1) & (labels <= n_classes)).all():
+            return labels
     except (ValueError, OverflowError):
-        # some row is not an int64: the loop below names the first one
-        labels, bad = None, range(count)
-    for i in bad:
+        pass  # some row is not an int64
+    # name the first bad row by its line in the file, blank lines counted
+    for number, line in enumerate(lines, start=1):
+        if not line:
+            continue
         try:
-            value = int(rows[i])
-            problem = f"label {value} outside 1..{n_classes}"
+            value = int(line)
         except ValueError:
-            value, problem = None, f"not an integer: {rows[i]!r}"
-        if value is None or not 1 <= value <= n_classes:
-            # blank lines are skipped but counted: name the file's own line
-            number = [n for n, line in enumerate(lines, start=1) if line][i]
-            raise DatasetFormatError(f"{path}: line {number}: {problem}")
-    return labels
+            raise DatasetFormatError(f"{path}: line {number}: not an integer: {line!r}") from None
+        if not 1 <= value <= n_classes:
+            raise DatasetFormatError(f"{path}: line {number}: label {value} outside 1..{n_classes}")
 
 
 def load_dataset(path) -> LabeledDataset:

@@ -98,8 +98,8 @@ class TrainConfig:
     `subspace_dims` is a per-mode tuple for tensor methods and a plain
     integer for vector methods. `reg_lambda` is added to the denominator
     scatter before every eigensolve; `max_iter` and `eps` bound the
-    alternating sweeps of the tensor methods. `seed` is recorded for
-    reproducibility (the bundled initializations are deterministic).
+    alternating sweeps of the tensor methods. `seed` is only recorded:
+    the bundled initializations are deterministic, so no fit reads it.
     """
 
     subspace_dims: int | tuple[int, ...]

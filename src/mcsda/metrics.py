@@ -175,24 +175,16 @@ def verification_report(
     )
 
 
-def _predict_stack(models: list[DiscriminantModel], samples) -> np.ndarray:
-    """Predicted class of every sample of a (N, *dims) stack: the first
-    maximum of the (models x samples) score matrix, with the models
-    sorted by class id, so ties go to the lowest class id."""
+def predict_class(models: list[DiscriminantModel], sample) -> int:
+    """Class of the highest-scoring one-vs-rest model; ties go to the
+    lowest class id regardless of input order."""
     if not models:
         raise ValueError("need at least one model")
     if any(model.positive_class is None for model in models):
         raise ValueError("every one-vs-rest model needs a positive_class")
     ordered = sorted(models, key=lambda m: m.positive_class)
-    scores = _score_matrix(ordered, samples)
-    classes = np.array([model.positive_class for model in ordered], dtype=np.int64)
-    return classes[np.argmax(scores, axis=0)]
-
-
-def predict_class(models: list[DiscriminantModel], sample) -> int:
-    """Class of the highest-scoring one-vs-rest model; ties go to the
-    lowest class id regardless of input order."""
-    return int(_predict_stack(models, np.asarray(sample)[np.newaxis])[0])
+    scores = _score_matrix(ordered, np.asarray(sample)[np.newaxis])[:, 0]
+    return int(ordered[np.argmax(scores)].positive_class)
 
 
 def summarize_folds(values) -> dict[str, float]:

@@ -1159,3 +1159,112 @@ def test_train_and_eval_bypass_public_helpers(tmp_path, monkeypatch):
                 "eval", "--models", str(out), "--data", str(data),
                 "--task", task, "--report", str(tmp_path / f"{out.name}_{task}.json"),
             ) == 0
+
+
+# ---------------------------------------------------------------------------
+# output paths checked before the work, and "." as --out
+
+
+def test_synth_and_train_write_into_the_working_directory(tmp_path):
+    # "." has no name of its own, so the save stages beside the working
+    # directory and then replaces it; run in a subprocess, whose working
+    # directory that replacement may leave stale
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import mcsda
+
+    src = Path(mcsda.__file__).resolve().parents[1]
+
+    def mcsda_in(cwd, *argv):
+        cwd.mkdir()
+        return subprocess.run(
+            [sys.executable, "-m", "mcsda.cli", *argv],
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+
+    proc = mcsda_in(
+        tmp_path / "data", "synth", "--dims", "4x3", "--classes", "2",
+        "--per-class", "6", "--out", ".",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_dataset(tmp_path / "data").count == 12
+    proc = mcsda_in(
+        tmp_path / "model", "train", "--data", str(tmp_path / "data"), "--method",
+        "mcsda", "--dims", "2x2", "--positive-class", "1", "--out", ".",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_model(tmp_path / "model").positive_class == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model"]
+
+
+def test_eval_refuses_a_report_directory_before_reading(tmp_path, monkeypatch, capsys):
+    import mcsda.cli as cli
+
+    data = make_synth(tmp_path)
+    models = train_ovr(tmp_path, data)
+    (tmp_path / "rd").mkdir()
+
+    def no_load(path):
+        raise AssertionError("eval read the dataset before checking --report")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        run(
+            "eval", "--models", str(models), "--data", str(data),
+            "--task", "verify", "--report", str(tmp_path / "rd"),
+        )
+    assert err.value.code == 2
+    assert f"argument --report: '{tmp_path / 'rd'}' is a directory" in capsys.readouterr().err
+    assert list((tmp_path / "rd").iterdir()) == []
+
+
+def test_bench_refuses_a_report_directory_before_fitting(tmp_path, monkeypatch, capsys):
+    def no_synth(spec):
+        raise AssertionError("bench synthesized data before checking --report")
+
+    monkeypatch.setattr("mcsda.cli.synth_generate", no_synth)
+    (tmp_path / "rd").mkdir()
+    with pytest.raises(SystemExit) as err:
+        run(
+            "bench", "--dims", "4x3", "--subspace", "2x2", "--n", "12",
+            "--repeats", "1", "--report", str(tmp_path / "rd"),
+        )
+    assert err.value.code == 2
+    assert f"argument --report: '{tmp_path / 'rd'}' is a directory" in capsys.readouterr().err
+    assert list((tmp_path / "rd").iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# --seed: bench seeds its data; no fit reads a seed, so train takes none
+
+
+def test_train_has_no_seed_flag(tmp_path):
+    data = make_synth(tmp_path)
+    out = train_ovr(tmp_path, data, method="csda", dims="2")
+    assert load_model(out / "class_1").config.seed == TrainConfig.seed == 0
+    with pytest.raises(SystemExit) as err:
+        run(
+            "train", "--data", str(data), "--method", "csda", "--dims", "2",
+            "--one-vs-rest", "--seed", "1", "--out", str(tmp_path / "m"),
+        )
+    assert err.value.code == 2
+    assert not (tmp_path / "m").exists()
+
+
+def test_bench_seed_changes_the_data(monkeypatch):
+    import mcsda.cli as cli
+
+    real, drawn = cli.synth_generate, []
+    monkeypatch.setattr(cli, "synth_generate", lambda spec: drawn.append(real(spec)) or drawn[-1])
+    for seed in ("0", "0", "5"):
+        assert run(
+            "bench", "--dims", "4x3", "--subspace", "2x2", "--n", "12",
+            "--repeats", "1", "--max-iter", "2", "--seed", seed,
+        ) == 0
+    same, other = drawn[1].samples, drawn[2].samples
+    assert np.array_equal(drawn[0].samples, same)
+    assert not np.array_equal(same, other)

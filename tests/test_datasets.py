@@ -391,3 +391,108 @@ def test_interrupted_force_overwrite_keeps_old_dataset(tmp_path, rng, monkeypatc
     with pytest.raises(RuntimeError, match="disk full"):
         save_dataset(new, tmp_path / "fresh")
     assert [p.name for p in tmp_path.iterdir()] == ["ds"]
+
+
+# ---------------------------------------------------------------------------
+# input checks, each with its exception, message and CLI exit code
+
+
+def test_samples_need_a_sample_axis():
+    with pytest.raises(ValueError, match=r"^samples must be an array of shape \(count, \*dims\)$"):
+        LabeledDataset(samples=np.zeros(3), labels=np.array([1, 1, 1]), n_classes=1)
+
+
+def test_synth_spec_needs_a_sample_per_class(tmp_path, capsys):
+    from mcsda.cli import main
+
+    with pytest.raises(ValueError, match="^samples_per_class must be >= 1, got 0$"):
+        SynthSpec(dims=(2,), n_classes=2, samples_per_class=0)
+    code = main([
+        "synth", "--dims", "2", "--classes", "2", "--per-class", "0",
+        "--out", str(tmp_path / "ds"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: samples_per_class must be >= 1, got 0\n"
+    assert not (tmp_path / "ds").exists()
+
+
+def damaged_dataset(tmp_path, rng, damage):
+    """A saved dataset, with `damage` applied to its directory."""
+    ds = random_dataset(rng, dims=(2, 3), n_classes=2, per_class=2)
+    root = tmp_path / "ds"
+    save_dataset(ds, root)
+    damage(root)
+    return root
+
+
+def train_exit_code(root, tmp_path, capsys):
+    """Exit code and stderr of `mcsda train` on the dataset at `root`."""
+    from mcsda.cli import main
+
+    capsys.readouterr()
+    code = main([
+        "train", "--data", str(root), "--method", "csda", "--dims", "1",
+        "--positive-class", "1", "--out", str(tmp_path / "model"),
+    ])
+    return code, capsys.readouterr().err
+
+
+def edit_manifest(**entries):
+    def damage(root):
+        path = root / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **entries}))
+
+    return damage
+
+
+def test_manifest_with_another_dtype_tag(tmp_path, rng, capsys):
+    root = damaged_dataset(tmp_path, rng, edit_manifest(dtype="float32-le"))
+    message = (
+        f"{root / 'manifest.json'}: unsupported dtype tag 'float32-le', expected 'float64-le'"
+    )
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(root)
+    assert str(err.value) == message
+    assert train_exit_code(root, tmp_path, capsys) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("dims", [[], [2, 0]])
+def test_manifest_with_invalid_dims(tmp_path, rng, capsys, dims):
+    root = damaged_dataset(tmp_path, rng, edit_manifest(dims=dims))
+    message = f"{root / 'manifest.json'}: invalid dims {dims}"
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(root)
+    assert str(err.value) == message
+    assert train_exit_code(root, tmp_path, capsys) == (1, f"error: {message}\n")
+
+
+def test_missing_label_file(tmp_path, rng, capsys):
+    root = damaged_dataset(tmp_path, rng, lambda root: (root / "labels.csv").unlink())
+    message = f"missing label file {root / 'labels.csv'}"
+    with pytest.raises(FileNotFoundError) as err:
+        load_dataset(root)
+    assert str(err.value) == message
+    assert train_exit_code(root, tmp_path, capsys) == (1, f"error: {message}\n")
+
+
+def test_no_classes(tmp_path, rng, capsys):
+    with pytest.raises(ValueError, match="^n_classes must be >= 1, got 0$"):
+        LabeledDataset(samples=np.zeros((0, 2)), labels=np.zeros(0), n_classes=0)
+
+    def empty(root):
+        edit_manifest(count=0, n_classes=0)(root)
+        (root / "data.bin").write_bytes(b"")
+        (root / "labels.csv").write_text("")
+
+    root = damaged_dataset(tmp_path, rng, empty)
+    message = f"{root / 'data.bin'}: n_classes must be >= 1, got 0"
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(root)
+    assert str(err.value) == message
+    assert train_exit_code(root, tmp_path, capsys) == (1, f"error: {message}\n")
+
+
+def test_split_needs_every_class():
+    ds = LabeledDataset(samples=np.zeros((4, 2)), labels=np.array([1, 1, 3, 3]), n_classes=3)
+    with pytest.raises(ValueError, match="^class 2 has no samples to split$"):
+        stratified_split(ds, 0.5, seed=0)

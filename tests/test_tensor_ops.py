@@ -328,3 +328,15 @@ def test_full_projection_copies_no_stack():
         tracemalloc.stop()
     assert out.shape == (49, 200)
     assert peak < stack.nbytes / 2
+
+
+def test_mode_product_needs_a_matrix():
+    with pytest.raises(ValueError, match="^mode_product needs a 2-d matrix, got 1-d$"):
+        mode_product(np.zeros((3, 4)), np.zeros(3), 0)
+
+
+def test_projection_rows_must_match_their_mode():
+    with pytest.raises(
+        ValueError, match=r"^projection 1 has shape \(5, 2\), expected \(4, d\)$"
+    ):
+        multi_project(np.zeros((3, 4)), [np.eye(3), np.zeros((5, 2))])
