@@ -7,9 +7,11 @@ the vector methods. The engine lays each stack out once per mode
 (``tensor_ops._mode_layout``) and runs Gauss-Seidel sweeps of per-mode
 regularized ratio-trace eigensolves over the layouts, from an all-ones
 initialization until the summed projector distance between consecutive
-sweeps drops to `eps`. One sweep solves a one-mode criterion jointly, so
+sweeps drops to `eps`. Every solve gets the lower-triangle scatters that
+LAPACK reads. One sweep solves a one-mode criterion jointly, so
 ``fit_lda`` and ``fit_csda`` (and ``fit_mda``/``fit_mcsda`` on one-mode
-data, which equal them bit for bit) report one converged sweep. Each
+data, which equal them bit for bit) report one converged sweep; lda's
+solve works on the C rows of its between-class numerator stack. Each
 sweep's objective comes from its last solve's unfoldings, and the public
 objectives run the same routines, so a fit's last objective is the
 public objective of its projections, bit for bit.
@@ -41,7 +43,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgesdd
 
 from .datasets import LabeledDataset
-from .linalg import ScatterPair, solve_ratio_trace
+from .linalg import ScatterPair, _solve_factor, _solve_lower, solve_ratio_trace
 from .tensor_ops import (
     _check_projections,
     _gemm_tn,
@@ -257,17 +259,19 @@ def _criterion(data: LabeledDataset, method: str, positive: int | None):
     return reference_mean, class_means, num, den
 
 
-def _gram(h: np.ndarray) -> np.ndarray:
-    """h h^T of an (I, M) unfolding, exactly symmetric; f2py copies h
-    only when it is neither C- nor Fortran-contiguous."""
-    # syrk into the lower triangle (h^T is passed when h is C-ordered, so
-    # that f2py copies neither), then mirrored: the strict upper triangle
-    # is zero, so s + s^T is exact off the diagonal, and the diagonal is
-    # put back from s
+def _lower_gram(h: np.ndarray) -> np.ndarray:
+    """h h^T of an (I, M) unfolding as dsyrk leaves it: Fortran-ordered,
+    its strict upper triangle zero. f2py copies h only when it is
+    neither C- nor Fortran-contiguous (h^T is passed when C-ordered)."""
     if h.flags.f_contiguous:
-        s = dsyrk(1.0, h, lower=1)
-    else:
-        s = dsyrk(1.0, h.T, trans=1, lower=1)
+        return dsyrk(1.0, h, lower=1)
+    return dsyrk(1.0, h.T, trans=1, lower=1)
+
+
+def _gram(h: np.ndarray) -> np.ndarray:
+    """h h^T, exactly symmetric: s + s^T of the :func:`_lower_gram` s is
+    exact off the diagonal, and the diagonal is put back from s."""
+    s = _lower_gram(h)
     full = s + s.T
     np.fill_diagonal(full, s.diagonal())
     return full
@@ -404,14 +408,10 @@ def convergence_metric(prev, curr) -> float:
     prev = [np.asarray(w, dtype=np.float64) for w in prev]
     curr = [np.asarray(w, dtype=np.float64) for w in curr]
     if len(prev) != len(curr):
-        raise ValueError(
-            f"projection sets have different lengths: {len(prev)} vs {len(curr)}"
-        )
+        raise ValueError(f"projection sets have different lengths: {len(prev)} vs {len(curr)}")
     for wp, wc in zip(prev, curr):
         if wp.shape != wc.shape:
-            raise ValueError(
-                f"projection shapes differ: {wp.shape} vs {wc.shape}"
-            )
+            raise ValueError(f"projection shapes differ: {wp.shape} vs {wc.shape}")
     return _projector_distance(
         [_subspace_projector(w, strict=True) for w in prev],
         [_subspace_projector(w, strict=True) for w in curr],
@@ -445,28 +445,38 @@ def _subspace_dims(method: str, subspace_dims, dims):
     return sub, sub
 
 
-def _sweep(layouts, ws, sub_dims, ridge: float) -> float:
+def _sweep(layouts, ws, sub_dims, ridge: float, factored: bool = False) -> float:
     """One Gauss-Seidel sweep over the numerator's and the denominator's
     per-mode layouts: solve each mode's pencil in turn, every other mode
-    projected with its latest matrix, updating `ws` in place.
+    projected with its latest matrix, updating `ws` in place. Each solve
+    gets the lower-triangle scatters that LAPACK reads; a one-mode pencil
+    (the whole flattened sample) owns them rather than have them copied,
+    and with `factored` takes a numerator of >= d columns as its factor.
 
     Returns the criterion at the new `ws`, taken from the unfoldings of
     the last solve (:func:`_ratio`): no mode changes after it.
     """
     for k, d in enumerate(sub_dims):
         hs = [_project_layout(per_mode[k], ws, k) for per_mode in layouts]
-        ws[k] = solve_ratio_trace(ScatterPair(*map(_gram, hs)), d, ridge).vectors
+        if len(ws) > 1:
+            basis = solve_ratio_trace(ScatterPair(*map(_lower_gram, hs)), d, ridge)
+        elif factored and d <= hs[0].shape[1]:
+            basis = _solve_factor(hs[0], _lower_gram(hs[1]), d, ridge)
+        else:
+            basis = _solve_lower(*map(_lower_gram, hs), d, ridge)
+        ws[k] = basis.vectors
     return _ratio(hs, ws[-1])
 
 
-def _alternate(layouts, ws, sub_dims, config):
+def _alternate(layouts, ws, sub_dims, config, factored: bool):
     """Sweeps until the summed projector distance between consecutive
     sweeps drops to `eps`; returns the objective and distance traces and
     whether that happened within `max_iter` sweeps. One sweep solves a
-    one-mode criterion jointly, so it is reported as one converged sweep,
-    without the projector check."""
+    one-mode criterion jointly (through its numerator's factor if
+    `factored`), so it is reported as one converged sweep, without the
+    projector check."""
     if len(ws) == 1:
-        return [_sweep(layouts, ws, sub_dims, config.reg_lambda)], [0.0], True
+        return [_sweep(layouts, ws, sub_dims, config.reg_lambda, factored)], [0.0], True
     # the all-ones init is rank one, so the first sweep's distance uses
     # the truncated column-space projector rather than the strict form
     prev = [_subspace_projector(w) for w in ws]
@@ -518,7 +528,9 @@ def _fit(
     ws = [np.ones((i, j)) if ones else np.eye(i, j) for i, j in zip(num.shape[1:], sub_dims)]
     layouts = [[_mode_layout(s, k) for k in range(len(ws))] for s in (num, den)]
     del num, den  # free the stacks: the sweeps read only the layouts
-    objective_trace, convergence_trace, converged = _alternate(layouts, ws, sub_dims, config)
+    objective_trace, convergence_trace, converged = _alternate(
+        layouts, ws, sub_dims, config, factored=class_means is not None
+    )
     if not converged:
         logger.warning(
             "%s fit for positive class %s did not converge: %d sweeps "

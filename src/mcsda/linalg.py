@@ -1,21 +1,23 @@
-"""Regularized ratio-trace eigensolver shared by all discriminant fits.
+"""Regularized ratio-trace eigensolvers shared by all discriminant fits.
 
 Every criterion in this package reduces to the same generalized problem:
 given a numerator scatter A and a denominator scatter B, find the top-d
-eigenpairs of A w = value * (B + ridge * I) w. The regularized
-denominator is positive definite for ridge > 0, so the pencil is a
-symmetric-definite generalized eigenproblem, solved for its top d
-eigenpairs only by one call of ``dsygvx`` from ``scipy.linalg.lapack``:
-the routine and arguments ``scipy.linalg.eigh(A, B, subset_by_index=...)``
-uses, without its Python layers, which cost more than the LAPACK work
-of a fit's small per-mode pencils.
+eigenpairs of A w = value * (B + ridge * I) w, a symmetric-definite
+pencil for ridge > 0. One call of ``dsygvx`` from ``scipy.linalg.lapack``
+solves it for the top d pairs only, as ``scipy.linalg.eigh(A, B,
+subset_by_index=...)`` does without its Python layers, reading only the
+lower triangles: on copies (``solve_ratio_trace``) or on buffers the
+solve owns (``_solve_lower``). A numerator given by a factor X of at
+least d columns, A = X X^T (lda's between-class scatter; Fisher 1936,
+Rao 1948), is solved through the Cholesky factor L of the denominator
+and the SVD of L^-1 X instead (``_solve_factor``).
 
-That call runs on the OpenBLAS build bundled with scipy, whose thread
-pool is separate from numpy's. The fit engine therefore runs the rest of
-its sweeps on scipy's BLAS and LAPACK too (``dsyrk`` in
-``discriminant._gram``, one ``dgemm`` per mode product in ``tensor_ops``,
-``dgesdd`` in ``discriminant._subspace_projector``), so that a fit keeps
-one pool busy instead of two pools competing for the same cores.
+These run on the OpenBLAS build bundled with scipy, whose thread pool is
+separate from numpy's. The fit engine therefore runs the rest of its
+sweeps on scipy's BLAS and LAPACK too (``dsyrk`` in
+``discriminant._lower_gram``, one ``dgemm`` per mode product in
+``tensor_ops``, ``dgesdd`` in ``discriminant._subspace_projector``), so
+that a fit keeps one pool busy instead of two competing for the cores.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dsygvx, dsygvx_lwork
+from scipy.linalg.lapack import dgesdd, dpotrf, dsygvx, dsygvx_lwork, dtrtrs
 
 __all__ = ["ScatterPair", "EigenBasis", "regularize", "solve_ratio_trace"]
 
@@ -90,44 +92,71 @@ def solve_ratio_trace(pair: ScatterPair, d: int, ridge: float = 0.0) -> EigenBas
     """Top-d eigenpairs of numerator w = value (denominator + ridge I) w.
 
     LAPACK reduces the pencil through the Cholesky factor of the
-    regularized denominator and computes only the top d eigenpairs; the
-    returned columns are B-orthonormal. The lower triangles of both
-    matrices are read; neither input is modified.
-
-    Raises ValueError when d is outside 1..n or either matrix holds NaN
-    or inf, and LinAlgError naming the failing pivot when the
+    regularized denominator and computes only the top d pairs, with
+    B-orthonormal columns; it reads the lower triangles of copies of both
+    matrices. Raises ValueError when d is outside 1..n or either matrix
+    holds NaN or inf, and LinAlgError naming the failing pivot when the
     regularized denominator is not positive definite.
     """
-    n = pair.size
-    d = int(d)
+    a, b = (np.array(m, order="F") for m in (pair.numerator, pair.denominator))
+    return _solve_lower(a, b, d, ridge)
+
+
+_PIVOT = (
+    "Cholesky factorization of the regularized denominator failed at pivot {}; "
+    "it is not positive definite"
+)
+
+
+def _regularized(a: np.ndarray, b: np.ndarray, d, ridge: float) -> tuple[int, int]:
+    """n and d of the owned n x n denominator b, which gets the ridge on
+    its diagonal, once d is within 1..n and a and b are finite."""
+    n, d = b.shape[0], int(d)
     if not 1 <= d <= n:
         raise ValueError(f"subspace dimension {d} out of range 1..{n}")
-    a = pair.numerator
-    # a private Fortran-ordered copy, regularized on its diagonal, that
-    # LAPACK may overwrite
-    b = np.array(pair.denominator, order="F")
     b.flat[:: n + 1] += float(ridge)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("scatter matrices must not contain NaN or inf")
+    return n, d
+
+
+def _basis(vectors: np.ndarray, values: np.ndarray) -> EigenBasis:
+    """Each column's largest-magnitude entry made nonnegative."""
+    vectors *= np.copysign(1.0, vectors[np.abs(vectors).argmax(axis=0), np.arange(len(values))])
+    return EigenBasis(vectors=vectors, values=values)
+
+
+def _solve_lower(a: np.ndarray, b: np.ndarray, d: int, ridge: float) -> EigenBasis:
+    """:func:`solve_ratio_trace` on Fortran-ordered buffers that the solve
+    owns and overwrites, of which LAPACK reads the lower triangles."""
+    n, d = _regularized(a, b, d, ridge)
     values, vectors, _, _, info = dsygvx(
         a, b, itype=1, jobz="V", range="I", uplo="L",
-        il=n - d + 1, iu=n, lwork=_dsygvx_lwork(n), overwrite_b=1,
+        il=n - d + 1, iu=n, lwork=_dsygvx_lwork(n), overwrite_a=1, overwrite_b=1,
     )
     if info > n:
         # info - n is the order of the leading minor of B that is not
         # positive definite
-        raise LinAlgError(
-            "Cholesky factorization of the regularized denominator failed "
-            f"at pivot {info - n}; it is not positive definite"
-        )
+        raise LinAlgError(_PIVOT.format(info - n))
     if info > 0:
         raise LinAlgError(f"{info} eigenvectors of the pencil failed to converge")
     if info < 0:
         raise LinAlgError(f"illegal value in argument {-info} of dsygvx")
-    # LAPACK returns exactly the d requested pairs, sorted ascending;
-    # flip to non-increasing, then make each column's largest-magnitude
-    # entry nonnegative
-    values = values[d - 1 :: -1].copy()
-    vectors = vectors[:, ::-1].copy()
-    vectors *= np.copysign(1.0, vectors[np.abs(vectors).argmax(axis=0), np.arange(d)])
-    return EigenBasis(vectors=vectors, values=values)
+    # exactly the d requested pairs, ascending: flip to non-increasing
+    return _basis(vectors[:, ::-1].copy(), values[d - 1 :: -1].copy())
+
+
+def _solve_factor(x: np.ndarray, b: np.ndarray, d: int, ridge: float) -> EigenBasis:
+    """The top-d pairs of (x x^T, b + ridge I) for an (n, c) factor x,
+    c >= d, and b as in :func:`_solve_lower`. With L L^T = b + ridge I and
+    U S V^T the thin SVD of L^-1 x, they are (L^-T U, S^2): W^T (b + ridge I)
+    W = I by construction, and a zero singular value gives an eigenvalue 0."""
+    _, d = _regularized(x, b, d, ridge)
+    low, info = dpotrf(b, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise LinAlgError(_PIVOT.format(info))
+    u, s, _, info = dgesdd(dtrtrs(low, x, lower=1)[0], full_matrices=0, overwrite_a=1)
+    if info != 0:
+        raise LinAlgError(f"SVD of the whitened numerator factor failed (dgesdd info {info})")
+    vectors, _ = dtrtrs(low, u[:, :d], lower=1, trans=1, overwrite_b=1)
+    return _basis(vectors, s[:d] ** 2)

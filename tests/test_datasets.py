@@ -393,6 +393,46 @@ def test_interrupted_force_overwrite_keeps_old_dataset(tmp_path, rng, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["ds"]
 
 
+def finished_pid():
+    """The pid of a child process that has exited and been reaped."""
+    import subprocess
+    import sys
+
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_next_save_removes_what_a_killed_save_left(tmp_path, rng):
+    # a save killed mid-write leaves its stage (and, killed between the
+    # two renames, the previous output set aside) beside the target: the
+    # next save of that target removes the stage of a finished process,
+    # and its aside once the target exists again
+    ds = random_dataset(rng, dims=(2, 3), n_classes=2, per_class=2)
+    pid = finished_pid()
+    stale = tmp_path / f".ds.{pid}-0123abcd"
+    aside = tmp_path / f".ds.{pid}-89abcdef-old"
+    for debris in (stale, aside):
+        debris.mkdir()
+        (debris / "data.bin").write_bytes(b"partial")
+    save_dataset(ds, tmp_path / "ds")
+    # no target before this save: the aside may be the only copy
+    assert sorted(p.name for p in tmp_path.iterdir()) == [aside.name, "ds"]
+    save_dataset(ds, tmp_path / "ds", force=True)
+    assert [p.name for p in tmp_path.iterdir()] == ["ds"]
+
+
+def test_save_leaves_a_running_process_stage_alone(tmp_path, rng):
+    import os
+
+    ds = random_dataset(rng, dims=(2, 3), n_classes=2, per_class=2)
+    live = tmp_path / f".ds.{os.getpid()}-0123abcd"
+    live.mkdir()
+    save_dataset(ds, tmp_path / "ds")
+    save_dataset(ds, tmp_path / "ds", force=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [live.name, "ds"]
+
+
 # ---------------------------------------------------------------------------
 # input checks, each with its exception, message and CLI exit code
 

@@ -38,6 +38,7 @@ from mcsda import (
 )
 
 from mcsda.discriminant import _subspace_projector
+from mcsda.linalg import _solve_factor, _solve_lower
 
 from conftest import random_dataset
 
@@ -169,6 +170,23 @@ def test_lda_keeps_class_means_not_reference(rng):
     assert model.class_means.shape == (3, 4)
     with pytest.raises(RuntimeError, match="reference mean"):
         similarity_score(model, ds.samples[0])
+
+
+def test_lda_without_ridge_on_fewer_samples_than_features_fails_at_a_pivot(rng):
+    # N = 9 < P = 20: the within-class scatter is singular, and without a
+    # ridge its Cholesky factorization names the failing pivot
+    ds = random_dataset(rng, dims=(4, 5), n_classes=3, per_class=3)
+    cfg = TrainConfig(subspace_dims=1, reg_lambda=0.0)
+    for fit in (lambda: fit_lda(ds, cfg), lambda: fit_class_specific(ds, "lda", 1, cfg)):
+        with pytest.raises(np.linalg.LinAlgError, match=r"pivot \d+; it is not positive definite"):
+            fit()
+
+
+def test_lda_dimension_beyond_the_feature_count(rng):
+    # C - 1 = 4 allows d = 3, but the samples have only P = 2 features
+    ds = random_dataset(rng, dims=(2,), n_classes=5, per_class=4)
+    with pytest.raises(ValueError, match=r"^subspace dimension 3 out of range 1\.\.2$"):
+        fit_lda(ds, TrainConfig(subspace_dims=3))
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +694,23 @@ def test_objective_trace_is_the_criterion_of_the_returned_projections(
     # the last sweep's entry is the criterion the solver optimized,
     # evaluated at the projections the fit returns: the public objective
     # and scatters run the engine's own arithmetic, so both agree bit for
-    # bit with what the fit computed
-    pairs = []
+    # bit with what the fit computed. The solves own (and overwrite) their
+    # inputs and read only lower triangles, so copies are recorded and
+    # compared on those
+    calls = []
 
-    def recording(pair, *args, **kwargs):
-        pairs.append(pair)
-        return solve_ratio_trace(pair, *args, **kwargs)
+    def recording(solve):
+        def record(*args):
+            if solve is solve_ratio_trace:
+                calls.append((solve, args[0].numerator.copy(), args[0].denominator.copy()))
+            else:
+                calls.append((solve, args[0].copy(), args[1].copy()))
+            return solve(*args)
 
-    monkeypatch.setattr(mcsda.discriminant, "solve_ratio_trace", recording)
+        return record
+
+    for solve in (solve_ratio_trace, _solve_lower, _solve_factor):
+        monkeypatch.setattr(mcsda.discriminant, solve.__name__, recording(solve))
     ds = separable(rng, dims=dims, n_classes=3, per_class=8)
     if method == "lda":
         sub = 1 if positive else 2  # at most C - 1
@@ -694,8 +721,19 @@ def test_objective_trace_is_the_criterion_of_the_returned_projections(
         ds, method, positive, model.projections
     )
     want = _last_scatters(ds, method, positive, model.projections)
-    assert np.array_equal(pairs[-1].numerator, want.numerator)
-    assert np.array_equal(pairs[-1].denominator, want.denominator)
+    solve, a, b = calls[-1]
+    assert np.array_equal(np.tril(b), np.tril(want.denominator))
+    # lda, and mda on one-mode data (the same criterion), are solved
+    # through the factor of their numerator, the criterion's stack; the
+    # other one-mode pencils on buffers the solve owns
+    if method in ("mda", "mcsda") and len(dims) > 1:
+        assert solve is solve_ratio_trace
+    else:
+        assert solve is (_solve_factor if method in ("lda", "mda") else _solve_lower)
+    if solve is _solve_factor:
+        assert np.array_equal(a, mcsda.discriminant._criterion(ds, method, positive)[2].T)
+    else:
+        assert np.array_equal(np.tril(a), np.tril(want.numerator))
 
 
 def test_objective_trace_with_a_nearly_singular_denominator(rng):

@@ -1,5 +1,7 @@
 """Ratio-trace eigensolver tests against an explicit-inverse oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from scipy.linalg import eigh, subspace_angles
 
 import mcsda.linalg
 from mcsda import EigenBasis, ScatterPair, regularize, solve_ratio_trace
+from mcsda.linalg import _solve_factor, _solve_lower
 
 
 def random_psd(rng, n, rank=None):
@@ -213,3 +216,100 @@ def test_unconverged_eigenvectors_raise(monkeypatch):
     pair = ScatterPair(numerator=np.eye(3), denominator=np.eye(3))
     with pytest.raises(LinAlgError, match="2 eigenvectors"):
         solve_ratio_trace(pair, 2, ridge=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the solves the fit engine calls: owned lower-triangle buffers, and a
+# numerator given by its factor
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 30),
+    ridge=st.sampled_from([0.0, 1e-2, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lower_triangle_solve_bit_identical_to_public_solve(n, ridge, seed):
+    # the public solve copies its inputs into the private one; LAPACK
+    # reads lower triangles only, so owned buffers holding nothing else,
+    # and the public solve given lower triangles only, give the same bits
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, n + 1))
+    num = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+    den = random_psd(rng, n) + 1e-3 * np.eye(n)
+    want = solve_ratio_trace(ScatterPair(numerator=num, denominator=den), d, ridge)
+    lower = ScatterPair(numerator=np.tril(num), denominator=np.tril(den))
+    for got in (
+        _solve_lower(np.asfortranarray(np.tril(num)), np.asfortranarray(np.tril(den)), d, ridge),
+        solve_ratio_trace(lower, d, ridge),
+    ):
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    n=st.integers(1, 12),
+    rows=st.integers(2, 6),
+    ridge=st.sampled_from([0.0, 1e-2, 1.0]),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_factor_solve_matches_the_full_pencil(n, rows, ridge, tied, seed, data):
+    # the between-class route, x x^T against b + ridge I for an (n, rows)
+    # factor x, solves the same pencil as solve_ratio_trace on the full
+    # scatters: the same vectors where the top d eigenvalues are
+    # separated, the same span where some are tied (equal orthogonal
+    # columns of x against an identity denominator)
+    rng = np.random.default_rng(seed)
+    if tied:
+        rows = min(rows, n)
+        d = rows
+        x = 3.0 * np.linalg.qr(rng.normal(size=(n, rows)))[0]
+        den = np.eye(n) if ridge else 2.0 * np.eye(n)
+    else:
+        d = data.draw(st.integers(1, min(n, rows)), label="d")
+        x = rng.normal(size=(n, rows))
+        # W^T B W - I grows with the condition of B + ridge I for dsygvx and
+        # this route alike (both near 1e-12 at n + 1 samples and a 1e-3
+        # floor): draw n + 3 or more samples and a 1e-2 floor
+        r = rng.normal(size=(n, n + int(rng.integers(3, 7))))
+        den = r @ r.T + (1e-2 * np.eye(n) if ridge == 0.0 else 0.0)
+    want = solve_ratio_trace(ScatterPair(numerator=x @ x.T, denominator=den), d, ridge)
+    x_before = x.copy()
+    got = _solve_factor(x, np.asfortranarray(np.tril(den)), d, ridge)
+    assert np.array_equal(x, x_before)  # the factor is not the solve's own
+    den_reg = den + ridge * np.eye(n)
+    assert np.abs(got.vectors.T @ den_reg @ got.vectors - np.eye(d)).max() <= 1e-12
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-10, atol=1e-12 * want.values[0])
+    every = solve_ratio_trace(ScatterPair(numerator=x @ x.T, denominator=den), n, ridge).values
+    gaps = -np.diff(every[: d + 1]) / every[0]
+    if d < n:
+        assert max(subspace_angles(got.vectors, want.vectors)) < 1e-10
+    if (gaps > 1e-3).all():
+        scale = np.abs(want.vectors).max()
+        np.testing.assert_allclose(got.vectors, want.vectors, rtol=1e-10, atol=1e-10 * scale)
+        for j in range(d):
+            col = got.vectors[:, j]
+            assert col[np.argmax(np.abs(col))] >= 0
+
+
+def test_factor_solve_errors_match_the_public_solve():
+    # the same exception and text as solve_ratio_trace on the full pencil
+    x = np.ones((3, 2))
+    den = np.zeros((3, 3))
+    den[0, 0] = 1.0
+    bad_x = x.copy()
+    bad_x[1, 0] = np.nan
+    for x_, den_, d in ((x, den, 1), (x, np.eye(3), 4), (x, np.eye(3), 0), (bad_x, np.eye(3), 1)):
+        with pytest.raises((LinAlgError, ValueError)) as public:
+            solve_ratio_trace(ScatterPair(numerator=x_ @ x_.T, denominator=den_), d, 0.0)
+        with pytest.raises(type(public.value), match=f"^{re.escape(str(public.value))}$"):
+            _solve_factor(x_, np.asfortranarray(den_), d, 0.0)
+    # coincident columns: a zero singular value is an eigenvalue-0
+    # direction, not a division by zero
+    basis = _solve_factor(x, np.eye(3, order="F"), 2, 0.0)
+    assert basis.values[0] == pytest.approx(6.0, rel=1e-14)
+    assert abs(basis.values[1]) <= 1e-14
+    assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(2), rtol=0, atol=1e-15)
