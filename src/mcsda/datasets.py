@@ -224,7 +224,11 @@ def _check_target(root: Path, outputs: tuple[str, ...], kind: str, force: bool) 
 def _remove_dead_stages(root: Path) -> None:
     """Remove the stages beside `root` named with the pid of no running
     process, left by killed saves, and their `-old` asides when `root`
-    exists: without it, an aside holds the only copy of the last output."""
+    exists: without it, an aside holds the only copy of the last output.
+    POSIX only (on Windows, ``os.kill(pid, 0)`` ends the process), and it
+    assumes every save of `root` runs on this host, in this PID namespace."""
+    if os.name != "posix":
+        return
     pattern = re.compile(rf"\.{re.escape(root.name)}\.(\d{{1,9}})-[0-9a-f]{{8}}(-old)?")
     for sibling in root.parent.iterdir():
         match = pattern.fullmatch(sibling.name)
@@ -244,7 +248,8 @@ def _staged_directory(root: Path, outputs: tuple[str, ...], kind: str, force: bo
     block to write whole, then rename it to `root`; an existing `root` is
     renamed aside first and removed last. On failure `root` stays as it
     was, and nothing is left beside it either way (nor, after the next
-    save, by a killed one: :func:`_remove_dead_stages`)."""
+    save, by a killed one: :func:`_remove_dead_stages`, which assumes
+    that every save of `root` runs on this host)."""
     _check_target(root, outputs, kind, force)
     root = Path(os.path.abspath(root))  # "." has no name and is its own parent
     root.parent.mkdir(parents=True, exist_ok=True)
@@ -273,8 +278,13 @@ def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetMani
     :func:`_staged_directory`; an existing dataset is overwritten only
     with `force`."""
     manifest = DatasetManifest(
-        version=MANIFEST_VERSION, dims=data.dims, count=data.count, n_classes=data.n_classes,
-        dtype=DTYPE_TAG, data_file="data.bin", label_file="labels.csv",
+        version=MANIFEST_VERSION,
+        dims=data.dims,
+        count=data.count,
+        n_classes=data.n_classes,
+        dtype=DTYPE_TAG,
+        data_file="data.bin",
+        label_file="labels.csv",
     )
     with _staged_directory(Path(path), (MANIFEST_NAME,), "dataset", force) as root:
         _write_array(root / manifest.data_file, np.moveaxis(data.samples, 0, -1))
@@ -296,9 +306,13 @@ def _read_manifest(root: Path) -> DatasetManifest:
         if not dims or any(d < 1 for d in dims):
             raise DatasetFormatError(f"{manifest_path}: invalid dims {doc['dims']}")
         return DatasetManifest(
-            version=int(doc["version"]), dims=dims, count=int(doc["count"]),
-            n_classes=int(doc["n_classes"]), dtype=str(doc["dtype"]),
-            data_file=str(doc["data_file"]), label_file=str(doc["label_file"]),
+            version=int(doc["version"]),
+            dims=dims,
+            count=int(doc["count"]),
+            n_classes=int(doc["n_classes"]),
+            dtype=str(doc["dtype"]),
+            data_file=str(doc["data_file"]),
+            label_file=str(doc["label_file"]),
         )
 
 
@@ -367,10 +381,17 @@ def stratified_split(
         n_train = math.ceil(fraction * idx.size)
         chosen = rng.permutation(idx)[:n_train]
         train_mask[chosen] = True
-    return tuple(
-        LabeledDataset(data.samples[mask], data.labels[mask], data.n_classes)
-        for mask in (train_mask, ~train_mask)
+    train = LabeledDataset(
+        samples=data.samples[train_mask],
+        labels=data.labels[train_mask],
+        n_classes=data.n_classes,
     )
+    test = LabeledDataset(
+        samples=data.samples[~train_mask],
+        labels=data.labels[~train_mask],
+        n_classes=data.n_classes,
+    )
+    return train, test
 
 
 def synth_generate(spec: SynthSpec) -> LabeledDataset:

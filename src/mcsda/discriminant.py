@@ -43,7 +43,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgesdd
 
 from .datasets import LabeledDataset
-from .linalg import ScatterPair, _solve_factor, _solve_lower, solve_ratio_trace
+from .linalg import ScatterPair, _solve_factor, solve_ratio_trace
 from .tensor_ops import (
     _check_projections,
     _gemm_tn,
@@ -408,10 +408,14 @@ def convergence_metric(prev, curr) -> float:
     prev = [np.asarray(w, dtype=np.float64) for w in prev]
     curr = [np.asarray(w, dtype=np.float64) for w in curr]
     if len(prev) != len(curr):
-        raise ValueError(f"projection sets have different lengths: {len(prev)} vs {len(curr)}")
+        raise ValueError(
+            f"projection sets have different lengths: {len(prev)} vs {len(curr)}"
+        )
     for wp, wc in zip(prev, curr):
         if wp.shape != wc.shape:
-            raise ValueError(f"projection shapes differ: {wp.shape} vs {wc.shape}")
+            raise ValueError(
+                f"projection shapes differ: {wp.shape} vs {wc.shape}"
+            )
     return _projector_distance(
         [_subspace_projector(w, strict=True) for w in prev],
         [_subspace_projector(w, strict=True) for w in curr],
@@ -445,38 +449,29 @@ def _subspace_dims(method: str, subspace_dims, dims):
     return sub, sub
 
 
-def _sweep(layouts, ws, sub_dims, ridge: float, factored: bool = False) -> float:
+def _sweep(layouts, ws, sub_dims, ridge: float) -> float:
     """One Gauss-Seidel sweep over the numerator's and the denominator's
     per-mode layouts: solve each mode's pencil in turn, every other mode
     projected with its latest matrix, updating `ws` in place. Each solve
-    gets the lower-triangle scatters that LAPACK reads; a one-mode pencil
-    (the whole flattened sample) owns them rather than have them copied,
-    and with `factored` takes a numerator of >= d columns as its factor.
+    gets the lower-triangle scatters, the part that LAPACK reads.
 
     Returns the criterion at the new `ws`, taken from the unfoldings of
     the last solve (:func:`_ratio`): no mode changes after it.
     """
     for k, d in enumerate(sub_dims):
         hs = [_project_layout(per_mode[k], ws, k) for per_mode in layouts]
-        if len(ws) > 1:
-            basis = solve_ratio_trace(ScatterPair(*map(_lower_gram, hs)), d, ridge)
-        elif factored and d <= hs[0].shape[1]:
-            basis = _solve_factor(hs[0], _lower_gram(hs[1]), d, ridge)
-        else:
-            basis = _solve_lower(*map(_lower_gram, hs), d, ridge)
-        ws[k] = basis.vectors
+        ws[k] = solve_ratio_trace(ScatterPair(*map(_lower_gram, hs)), d, ridge).vectors
     return _ratio(hs, ws[-1])
 
 
-def _alternate(layouts, ws, sub_dims, config, factored: bool):
+def _alternate(layouts, ws, sub_dims, config):
     """Sweeps until the summed projector distance between consecutive
     sweeps drops to `eps`; returns the objective and distance traces and
     whether that happened within `max_iter` sweeps. One sweep solves a
-    one-mode criterion jointly (through its numerator's factor if
-    `factored`), so it is reported as one converged sweep, without the
-    projector check."""
+    one-mode criterion jointly, so it is reported as one converged sweep,
+    without the projector check."""
     if len(ws) == 1:
-        return [_sweep(layouts, ws, sub_dims, config.reg_lambda, factored)], [0.0], True
+        return [_sweep(layouts, ws, sub_dims, config.reg_lambda)], [0.0], True
     # the all-ones init is rank one, so the first sweep's distance uses
     # the truncated column-space projector rather than the strict form
     prev = [_subspace_projector(w) for w in ws]
@@ -528,9 +523,14 @@ def _fit(
     ws = [np.ones((i, j)) if ones else np.eye(i, j) for i, j in zip(num.shape[1:], sub_dims)]
     layouts = [[_mode_layout(s, k) for k in range(len(ws))] for s in (num, den)]
     del num, den  # free the stacks: the sweeps read only the layouts
-    objective_trace, convergence_trace, converged = _alternate(
-        layouts, ws, sub_dims, config, factored=class_means is not None
-    )
+    if class_means is not None and len(ws) == 1 and sub_dims[0] <= len(class_means):
+        # lda, and mda on one-mode data (the same criterion): one solve
+        # through the C columns of the between-class numerator layout
+        hs = [layout for (layout,) in layouts]
+        ws[0] = _solve_factor(hs[0], _lower_gram(hs[1]), sub_dims[0], config.reg_lambda).vectors
+        objective_trace, convergence_trace, converged = [_ratio(hs, ws[0])], [0.0], True
+    else:
+        objective_trace, convergence_trace, converged = _alternate(layouts, ws, sub_dims, config)
     if not converged:
         logger.warning(
             "%s fit for positive class %s did not converge: %d sweeps "

@@ -6,11 +6,10 @@ eigenpairs of A w = value * (B + ridge * I) w, a symmetric-definite
 pencil for ridge > 0. One call of ``dsygvx`` from ``scipy.linalg.lapack``
 solves it for the top d pairs only, as ``scipy.linalg.eigh(A, B,
 subset_by_index=...)`` does without its Python layers, reading only the
-lower triangles: on copies (``solve_ratio_trace``) or on buffers the
-solve owns (``_solve_lower``). A numerator given by a factor X of at
-least d columns, A = X X^T (lda's between-class scatter; Fisher 1936,
-Rao 1948), is solved through the Cholesky factor L of the denominator
-and the SVD of L^-1 X instead (``_solve_factor``).
+lower triangles (``solve_ratio_trace``). A numerator given by a factor X
+of at least d columns, A = X X^T (lda's between-class scatter; Fisher
+1936, Rao 1948), is solved through the Cholesky factor L of the
+denominator and the SVD of L^-1 X instead (``_solve_factor``).
 
 These run on the OpenBLAS build bundled with scipy, whose thread pool is
 separate from numpy's. The fit engine therefore runs the rest of its
@@ -88,20 +87,6 @@ def _dsygvx_lwork(n: int) -> int:
     return int(dsygvx_lwork(n, uplo="L")[0])
 
 
-def solve_ratio_trace(pair: ScatterPair, d: int, ridge: float = 0.0) -> EigenBasis:
-    """Top-d eigenpairs of numerator w = value (denominator + ridge I) w.
-
-    LAPACK reduces the pencil through the Cholesky factor of the
-    regularized denominator and computes only the top d pairs, with
-    B-orthonormal columns; it reads the lower triangles of copies of both
-    matrices. Raises ValueError when d is outside 1..n or either matrix
-    holds NaN or inf, and LinAlgError naming the failing pivot when the
-    regularized denominator is not positive definite.
-    """
-    a, b = (np.array(m, order="F") for m in (pair.numerator, pair.denominator))
-    return _solve_lower(a, b, d, ridge)
-
-
 _PIVOT = (
     "Cholesky factorization of the regularized denominator failed at pivot {}; "
     "it is not positive definite"
@@ -126,13 +111,26 @@ def _basis(vectors: np.ndarray, values: np.ndarray) -> EigenBasis:
     return EigenBasis(vectors=vectors, values=values)
 
 
-def _solve_lower(a: np.ndarray, b: np.ndarray, d: int, ridge: float) -> EigenBasis:
-    """:func:`solve_ratio_trace` on Fortran-ordered buffers that the solve
-    owns and overwrites, of which LAPACK reads the lower triangles."""
+def solve_ratio_trace(pair: ScatterPair, d: int, ridge: float = 0.0) -> EigenBasis:
+    """Top-d eigenpairs of numerator w = value (denominator + ridge I) w.
+
+    LAPACK reduces the pencil through the Cholesky factor of the
+    regularized denominator and computes only the top d eigenpairs; the
+    returned columns are B-orthonormal. The lower triangles of both
+    matrices are read; neither input is modified.
+
+    Raises ValueError when d is outside 1..n or either matrix holds NaN
+    or inf, and LinAlgError naming the failing pivot when the
+    regularized denominator is not positive definite.
+    """
+    a = pair.numerator
+    # a private Fortran-ordered copy, regularized on its diagonal, that
+    # LAPACK may overwrite
+    b = np.array(pair.denominator, order="F")
     n, d = _regularized(a, b, d, ridge)
     values, vectors, _, _, info = dsygvx(
         a, b, itype=1, jobz="V", range="I", uplo="L",
-        il=n - d + 1, iu=n, lwork=_dsygvx_lwork(n), overwrite_a=1, overwrite_b=1,
+        il=n - d + 1, iu=n, lwork=_dsygvx_lwork(n), overwrite_b=1,
     )
     if info > n:
         # info - n is the order of the leading minor of B that is not
@@ -148,9 +146,11 @@ def _solve_lower(a: np.ndarray, b: np.ndarray, d: int, ridge: float) -> EigenBas
 
 def _solve_factor(x: np.ndarray, b: np.ndarray, d: int, ridge: float) -> EigenBasis:
     """The top-d pairs of (x x^T, b + ridge I) for an (n, c) factor x,
-    c >= d, and b as in :func:`_solve_lower`. With L L^T = b + ridge I and
-    U S V^T the thin SVD of L^-1 x, they are (L^-T U, S^2): W^T (b + ridge I)
-    W = I by construction, and a zero singular value gives an eigenvalue 0."""
+    c >= d, and a Fortran-ordered n x n b that the solve owns and
+    overwrites; LAPACK reads its lower triangle. With L L^T = b + ridge I
+    and U S V^T the thin SVD of L^-1 x, they are (L^-T U, S^2): W^T (b +
+    ridge I) W = I by construction, and a zero singular value gives an
+    eigenvalue 0."""
     _, d = _regularized(x, b, d, ridge)
     low, info = dpotrf(b, lower=1, clean=0, overwrite_a=1)
     if info > 0:

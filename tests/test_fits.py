@@ -38,7 +38,7 @@ from mcsda import (
 )
 
 from mcsda.discriminant import _subspace_projector
-from mcsda.linalg import _solve_factor, _solve_lower
+from mcsda.linalg import _solve_factor
 
 from conftest import random_dataset
 
@@ -694,9 +694,9 @@ def test_objective_trace_is_the_criterion_of_the_returned_projections(
     # the last sweep's entry is the criterion the solver optimized,
     # evaluated at the projections the fit returns: the public objective
     # and scatters run the engine's own arithmetic, so both agree bit for
-    # bit with what the fit computed. The solves own (and overwrite) their
-    # inputs and read only lower triangles, so copies are recorded and
-    # compared on those
+    # bit with what the fit computed. The solvers read only lower
+    # triangles, and the factor route overwrites its denominator, so
+    # copies are recorded and compared on their lower triangles
     calls = []
 
     def recording(solve):
@@ -709,7 +709,7 @@ def test_objective_trace_is_the_criterion_of_the_returned_projections(
 
         return record
 
-    for solve in (solve_ratio_trace, _solve_lower, _solve_factor):
+    for solve in (solve_ratio_trace, _solve_factor):
         monkeypatch.setattr(mcsda.discriminant, solve.__name__, recording(solve))
     ds = separable(rng, dims=dims, n_classes=3, per_class=8)
     if method == "lda":
@@ -724,16 +724,15 @@ def test_objective_trace_is_the_criterion_of_the_returned_projections(
     solve, a, b = calls[-1]
     assert np.array_equal(np.tril(b), np.tril(want.denominator))
     # lda, and mda on one-mode data (the same criterion), are solved
-    # through the factor of their numerator, the criterion's stack; the
-    # other one-mode pencils on buffers the solve owns
-    if method in ("mda", "mcsda") and len(dims) > 1:
-        assert solve is solve_ratio_trace
-    else:
-        assert solve is (_solve_factor if method in ("lda", "mda") else _solve_lower)
-    if solve is _solve_factor:
-        assert np.array_equal(a, mcsda.discriminant._criterion(ds, method, positive)[2].T)
-    else:
-        assert np.array_equal(np.tril(a), np.tril(want.numerator))
+    # through the factor of their numerator, the criterion's stack, whose
+    # Gram is the public numerator; every other pencil by dsygvx
+    factored = method == "lda" or (method == "mda" and len(dims) == 1)
+    assert solve is (_solve_factor if factored else solve_ratio_trace)
+    if factored:
+        factor = mcsda.discriminant._criterion(ds, method, positive)[2].T
+        assert np.array_equal(a, factor)
+        a = mcsda.discriminant._gram(factor)
+    assert np.array_equal(np.tril(a), np.tril(want.numerator))
 
 
 def test_objective_trace_with_a_nearly_singular_denominator(rng):

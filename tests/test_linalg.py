@@ -11,7 +11,7 @@ from scipy.linalg import eigh, subspace_angles
 
 import mcsda.linalg
 from mcsda import EigenBasis, ScatterPair, regularize, solve_ratio_trace
-from mcsda.linalg import _solve_factor, _solve_lower
+from mcsda.linalg import _solve_factor
 
 
 def random_psd(rng, n, rank=None):
@@ -219,7 +219,7 @@ def test_unconverged_eigenvectors_raise(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the solves the fit engine calls: owned lower-triangle buffers, and a
+# the solves the fit engine calls: on lower-triangle scatters, and on a
 # numerator given by its factor
 
 
@@ -229,20 +229,18 @@ def test_unconverged_eigenvectors_raise(monkeypatch):
     ridge=st.sampled_from([0.0, 1e-2, 10.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lower_triangle_solve_bit_identical_to_public_solve(n, ridge, seed):
-    # the public solve copies its inputs into the private one; LAPACK
-    # reads lower triangles only, so owned buffers holding nothing else,
-    # and the public solve given lower triangles only, give the same bits
+def test_solve_reads_only_lower_triangles(n, ridge, seed):
+    # LAPACK reads lower triangles only: the fit's Fortran-ordered dsyrk
+    # outputs, their strict upper triangles zero, and any other order of
+    # them give the bits of the mirrored pair
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, n + 1))
     num = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
     den = random_psd(rng, n) + 1e-3 * np.eye(n)
     want = solve_ratio_trace(ScatterPair(numerator=num, denominator=den), d, ridge)
-    lower = ScatterPair(numerator=np.tril(num), denominator=np.tril(den))
-    for got in (
-        _solve_lower(np.asfortranarray(np.tril(num)), np.asfortranarray(np.tril(den)), d, ridge),
-        solve_ratio_trace(lower, d, ridge),
-    ):
+    for order in "FC":
+        lower = ScatterPair(*(np.array(np.tril(m), order=order) for m in (num, den)))
+        got = solve_ratio_trace(lower, d, ridge)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
 
