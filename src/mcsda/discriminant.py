@@ -8,13 +8,15 @@ the vector methods. The engine lays each stack out once per mode
 regularized ratio-trace eigensolves over the layouts, from an all-ones
 initialization until the summed projector distance between consecutive
 sweeps drops to `eps`. Every solve gets the lower-triangle scatters that
-LAPACK reads. One sweep solves a one-mode criterion jointly, so
-``fit_lda`` and ``fit_csda`` (and ``fit_mda``/``fit_mcsda`` on one-mode
-data, which equal them bit for bit) report one converged sweep; lda's
-solve works on the C rows of its between-class numerator stack. Each
-sweep's objective comes from its last solve's unfoldings, and the public
-objectives run the same routines, so a fit's last objective is the
-public objective of its projections, bit for bit.
+LAPACK reads, as its own scratch: a vector fit holds its two stacks and
+two n x n Grams, with no copies of them. One sweep solves a one-mode
+criterion jointly, so ``fit_lda`` and ``fit_csda`` (and
+``fit_mda``/``fit_mcsda`` on one-mode data, which equal them bit for
+bit) report one converged sweep; lda's solve works on the C rows of its
+between-class numerator stack. Each sweep's objective comes from its
+last solve's unfoldings, and the public objectives run the same
+routines, so a fit's last objective is the public objective of its
+projections, bit for bit.
 
 The class-specific criteria (``csda``, ``mcsda``) separate one positive
 class from everything else and center every scatter on the positive
@@ -453,14 +455,16 @@ def _sweep(layouts, ws, sub_dims, ridge: float) -> float:
     """One Gauss-Seidel sweep over the numerator's and the denominator's
     per-mode layouts: solve each mode's pencil in turn, every other mode
     projected with its latest matrix, updating `ws` in place. Each solve
-    gets the lower-triangle scatters, the part that LAPACK reads.
+    gets the lower-triangle scatters, the part that LAPACK reads, as its
+    own scratch: no n x n copy is made around the solve.
 
     Returns the criterion at the new `ws`, taken from the unfoldings of
     the last solve (:func:`_ratio`): no mode changes after it.
     """
     for k, d in enumerate(sub_dims):
         hs = [_project_layout(per_mode[k], ws, k) for per_mode in layouts]
-        ws[k] = solve_ratio_trace(ScatterPair(*map(_lower_gram, hs)), d, ridge).vectors
+        pair = ScatterPair(*map(_lower_gram, hs))
+        ws[k] = solve_ratio_trace(pair, d, ridge, overwrite=True).vectors
     return _ratio(hs, ws[-1])
 
 

@@ -6,7 +6,9 @@ eigenpairs of A w = value * (B + ridge * I) w, a symmetric-definite
 pencil for ridge > 0. One call of ``dsygvx`` from ``scipy.linalg.lapack``
 solves it for the top d pairs only, as ``scipy.linalg.eigh(A, B,
 subset_by_index=...)`` does without its Python layers, reading only the
-lower triangles (``solve_ratio_trace``). A numerator given by a factor X
+lower triangles (``solve_ratio_trace``); a caller that built both
+matrices for the solve alone hands them over (``overwrite``), so that no
+n x n copy is made around it. A numerator given by a factor X
 of at least d columns, A = X X^T (lda's between-class scatter; Fisher
 1936, Rao 1948), is solved through the Cholesky factor L of the
 denominator and the SVD of L^-1 X instead (``_solve_factor``).
@@ -111,26 +113,32 @@ def _basis(vectors: np.ndarray, values: np.ndarray) -> EigenBasis:
     return EigenBasis(vectors=vectors, values=values)
 
 
-def solve_ratio_trace(pair: ScatterPair, d: int, ridge: float = 0.0) -> EigenBasis:
+def solve_ratio_trace(
+    pair: ScatterPair, d: int, ridge: float = 0.0, overwrite: bool = False
+) -> EigenBasis:
     """Top-d eigenpairs of numerator w = value (denominator + ridge I) w.
 
     LAPACK reduces the pencil through the Cholesky factor of the
     regularized denominator and computes only the top d eigenpairs; the
     returned columns are B-orthonormal. The lower triangles of both
-    matrices are read; neither input is modified.
+    matrices are read; neither input is modified unless `overwrite` is
+    set (scipy's ``overwrite_a``/``overwrite_b``): then both matrices are
+    the solve's scratch, the ridge goes onto the denominator in place,
+    and their contents are undefined after the call, on error too.
 
     Raises ValueError when d is outside 1..n or either matrix holds NaN
     or inf, and LinAlgError naming the failing pivot when the
     regularized denominator is not positive definite.
     """
-    a = pair.numerator
-    # a private Fortran-ordered copy, regularized on its diagonal, that
-    # LAPACK may overwrite
-    b = np.array(pair.denominator, order="F")
+    a, b = pair.numerator, pair.denominator
+    if not overwrite or np.shares_memory(a, b):
+        # a private Fortran-ordered copy, regularized on its diagonal,
+        # that LAPACK may overwrite
+        b = np.array(b, order="F")
     n, d = _regularized(a, b, d, ridge)
     values, vectors, _, _, info = dsygvx(
-        a, b, itype=1, jobz="V", range="I", uplo="L",
-        il=n - d + 1, iu=n, lwork=_dsygvx_lwork(n), overwrite_b=1,
+        a, b, itype=1, jobz="V", range="I", uplo="L", il=n - d + 1, iu=n,
+        lwork=_dsygvx_lwork(n), overwrite_a=int(overwrite), overwrite_b=1,
     )
     if info > n:
         # info - n is the order of the leading minor of B that is not

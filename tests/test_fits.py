@@ -2,6 +2,7 @@
 bookkeeping, fixed-point self-consistency, and scoring."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,6 +462,23 @@ def test_fits_use_scipy_lapack_only(rng, monkeypatch):
     assert convergence_metric(mc.projections, md.projections) >= 0.0
 
 
+def test_csda_fit_holds_its_stacks_and_two_grams():
+    # the solve works in the fit's own two n x n Grams: no copy of either
+    # is made around dsygvx. The two stacks hold the N samples between
+    # them; 1 MiB covers LAPACK's workspace and the small arrays
+    data = synth_generate(SynthSpec((10, 8, 6), 6, 40, 1.0, 2.0, seed=7))
+    n = 10 * 8 * 6
+    cfg = TrainConfig(subspace_dims=48)
+    fit_csda(data, 1, cfg)
+    tracemalloc.start()
+    try:
+        fit_csda(data, 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.samples.nbytes + 2 * n * n * 8 + 2**20
+
+
 def test_convergence_metric_shape_checks():
     w = np.eye(3, 2)
     with pytest.raises(ValueError, match="lengths"):
@@ -695,17 +713,17 @@ def test_objective_trace_is_the_criterion_of_the_returned_projections(
     # evaluated at the projections the fit returns: the public objective
     # and scatters run the engine's own arithmetic, so both agree bit for
     # bit with what the fit computed. The solvers read only lower
-    # triangles, and the factor route overwrites its denominator, so
-    # copies are recorded and compared on their lower triangles
+    # triangles, and both overwrite what the fit hands them, so copies
+    # are recorded and compared on their lower triangles
     calls = []
 
     def recording(solve):
-        def record(*args):
+        def record(*args, **kwargs):
             if solve is solve_ratio_trace:
                 calls.append((solve, args[0].numerator.copy(), args[0].denominator.copy()))
             else:
                 calls.append((solve, args[0].copy(), args[1].copy()))
-            return solve(*args)
+            return solve(*args, **kwargs)
 
         return record
 

@@ -193,10 +193,14 @@ def test_solve_bit_identical_to_eigh(n, ridge, seed, data):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["numerator", "denominator"])
 def test_non_finite_scatter_raises(bad, where):
-    mats = {"numerator": np.eye(3), "denominator": np.eye(3)}
-    mats[where][1, 0] = bad
-    with pytest.raises(ValueError, match="NaN or inf"):
-        solve_ratio_trace(ScatterPair(**mats), 2, ridge=0.01)
+    texts = []
+    for overwrite in (False, True):
+        mats = {"numerator": np.eye(3), "denominator": np.eye(3)}
+        mats[where][1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or inf") as raised:
+            solve_ratio_trace(ScatterPair(**mats), 2, ridge=0.01, overwrite=overwrite)
+        texts.append(str(raised.value))
+    assert texts[0] == texts[1]
 
 
 def test_non_finite_ridge_raises():
@@ -239,10 +243,23 @@ def test_solve_reads_only_lower_triangles(n, ridge, seed):
     den = random_psd(rng, n) + 1e-3 * np.eye(n)
     want = solve_ratio_trace(ScatterPair(numerator=num, denominator=den), d, ridge)
     for order in "FC":
-        lower = ScatterPair(*(np.array(np.tril(m), order=order) for m in (num, den)))
-        got = solve_ratio_trace(lower, d, ridge)
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.vectors, want.vectors)
+        for overwrite in (False, True):
+            # a fresh pair for each call: with overwrite it is scratch
+            lower = ScatterPair(*(np.array(np.tril(m), order=order) for m in (num, den)))
+            got = solve_ratio_trace(lower, d, ridge, overwrite=overwrite)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.vectors, want.vectors)
+
+
+@pytest.mark.parametrize("order", "FC")
+def test_overwrite_of_an_aliased_pair(rng, order):
+    # numerator and denominator in one buffer: the in-place ridge and
+    # dsygvx's writes to one must not reach the other
+    m = np.array(random_psd(rng, 8) + 1e-3 * np.eye(8), order=order)
+    want = solve_ratio_trace(ScatterPair(m, m.copy()), 3, 0.5)
+    got = solve_ratio_trace(ScatterPair(m, m), 3, 0.5, overwrite=True)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.vectors, want.vectors)
 
 
 @settings(deadline=None, max_examples=150)
@@ -303,7 +320,13 @@ def test_factor_solve_errors_match_the_public_solve():
     for x_, den_, d in ((x, den, 1), (x, np.eye(3), 4), (x, np.eye(3), 0), (bad_x, np.eye(3), 1)):
         with pytest.raises((LinAlgError, ValueError)) as public:
             solve_ratio_trace(ScatterPair(numerator=x_ @ x_.T, denominator=den_), d, 0.0)
-        with pytest.raises(type(public.value), match=f"^{re.escape(str(public.value))}$"):
+        text = f"^{re.escape(str(public.value))}$"
+        # and the same again when the solve owns its copies of both
+        with pytest.raises(type(public.value), match=text) as owned:
+            pair = ScatterPair(numerator=x_ @ x_.T, denominator=den_.copy())
+            solve_ratio_trace(pair, d, 0.0, overwrite=True)
+        assert type(owned.value) is type(public.value)
+        with pytest.raises(type(public.value), match=text):
             _solve_factor(x_, np.asfortranarray(den_), d, 0.0)
     # coincident columns: a zero singular value is an eigenvalue-0
     # direction, not a division by zero
