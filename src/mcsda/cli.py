@@ -24,7 +24,6 @@ import scipy
 from .datasets import (
     DatasetFormatError,
     SynthSpec,
-    _check_target,
     _staged_directory,
     load_dataset,
     save_dataset,
@@ -120,23 +119,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    """Fit, then write the models and fit_report.json as one staged unit."""
+    """Fit and write the models and fit_report.json in one stage; entering it checks --out."""
     method = args.method
     if method in _CLASS_SPECIFIC and args.positive_class is None and not args.one_vs_rest:
         raise ValueError(f"{method} is class-specific: pass --positive-class or --one-vs-rest")
     data = load_dataset(args.data)
     config = _train_config(args, method)
-    out = Path(args.out)
-    _check_target(out, MODEL_OUTPUTS, "model", args.force)  # refuse before fitting, not after
-    models = (
-        fit_one_vs_rest(data, method, config) if args.one_vs_rest
-        else [_fit(data, method, args.positive_class, config)]
-    )
-    entries = [
-        {"class": m.positive_class, "method": method, **asdict(m.fit_report)} for m in models
-    ]
-    report = {"version": 1, "method": method, "models": entries}
-    with _staged_directory(out, MODEL_OUTPUTS, "model", args.force) as stage:
+    with _staged_directory(Path(args.out), MODEL_OUTPUTS, "model", args.force) as stage:
+        models = (
+            fit_one_vs_rest(data, method, config) if args.one_vs_rest
+            else [_fit(data, method, args.positive_class, config)]
+        )
+        entries = [
+            {"class": m.positive_class, "method": method, **asdict(m.fit_report)} for m in models
+        ]
+        report = {"version": 1, "method": method, "models": entries}
         for m in models:
             _write_model(m, stage / f"class_{m.positive_class}" if args.one_vs_rest else stage)
         (stage / "fit_report.json").write_text(json.dumps(report, indent=2) + "\n")
@@ -154,6 +151,8 @@ def cmd_train(args) -> int:
 def _expand_model_dirs(spec: str) -> list[Path]:
     paths: list[Path] = []
     for chunk in spec.split(","):
+        if not chunk:  # Path("") is the working directory
+            raise ValueError(f"--models {spec!r} holds an empty entry")
         root = Path(chunk)
         if (root / MODEL_NAME).exists():
             found = [root]

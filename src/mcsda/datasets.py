@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import re
 import shutil
@@ -59,6 +60,15 @@ class DatasetFormatError(ValueError):
     """A dataset directory violates the documented file format."""
 
 
+def _check_count(name: str, value) -> int:
+    """`value` as an int, if it is an integer (not a bool) >= 1: the one count rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """N same-shaped finite float64 tensors with 1-based integer class
@@ -77,8 +87,7 @@ class LabeledDataset:
             raise ValueError(
                 f"got {labels.size} labels for {samples.shape[0]} samples"
             )
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        _check_count("n_classes", self.n_classes)
         if labels.size and (labels.min() < 1 or labels.max() > self.n_classes):
             raise ValueError(
                 f"labels must lie in 1..{self.n_classes}, found range "
@@ -129,7 +138,8 @@ class SynthSpec:
     Each class draws a mean tensor with independent Normal(0,
     class_mean_scale^2) entries; samples add independent Normal(0,
     noise_sigma^2) entry noise to their class mean. noise_sigma = 0 makes
-    every sample equal to its class mean.
+    every sample equal to its class mean. Every dim and both counts are
+    integers >= 1.
     """
 
     dims: tuple[int, ...]
@@ -140,15 +150,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"dims must be positive integers, got {self.dims}")
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
-        if self.samples_per_class < 1:
-            raise ValueError(
-                f"samples_per_class must be >= 1, got {self.samples_per_class}"
-            )
+        dims = tuple(_check_count("dims", d) for d in self.dims)
+        if not dims:
+            raise ValueError("dims must name at least one mode")
+        _check_count("n_classes", self.n_classes)
+        _check_count("samples_per_class", self.samples_per_class)
         if not 0 < self.class_mean_scale < math.inf:
             raise ValueError(
                 f"class_mean_scale must be finite and > 0, got {self.class_mean_scale}"

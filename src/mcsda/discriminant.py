@@ -38,13 +38,14 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgesdd
 
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, _check_count
 from .linalg import ScatterPair, _solve_factor, solve_ratio_trace
 from .tensor_ops import (
     _check_projections,
@@ -99,11 +100,10 @@ INIT_CHOICES = ("ones", "identity_slice")
 class TrainConfig:
     """Shared training knobs.
 
-    `subspace_dims` is a per-mode tuple for tensor methods and a plain
-    integer for vector methods. `reg_lambda` is added to the denominator
-    scatter before every eigensolve; `max_iter` and `eps` bound the
-    alternating sweeps of the tensor methods. `seed` is only recorded:
-    the bundled initializations are deterministic, so no fit reads it.
+    `subspace_dims` is an integer for vector methods and a per-mode tuple
+    for tensor methods; it and `max_iter` hold integers >= 1. `reg_lambda`
+    is the denominator ridge of every eigensolve; `max_iter` and `eps`
+    bound the sweeps. `seed` is a class constant: no fit reads a seed.
     """
 
     subspace_dims: int | tuple[int, ...]
@@ -111,22 +111,18 @@ class TrainConfig:
     max_iter: int = 20
     eps: float = 1e-5
     init: str = "ones"
-    seed: int = 0
+    seed: ClassVar[int] = 0
 
     def __post_init__(self):
         dims = self.subspace_dims
-        if isinstance(dims, (tuple, list)):
-            dims = tuple(int(d) for d in dims)
+        if isinstance(dims, (tuple, list)) and dims:
+            dims = tuple(_check_count("subspace_dims", d) for d in dims)
             object.__setattr__(self, "subspace_dims", dims)
-            bad = not dims or any(d < 1 for d in dims)
-        else:
-            bad = int(dims) < 1
-        if bad:
-            raise ValueError(f"subspace_dims must be positive, got {self.subspace_dims}")
+        else:  # one dimension; an empty sequence is no integer
+            _check_count("subspace_dims", dims)
         if not 0 <= self.reg_lambda < math.inf:
             raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_count("max_iter", self.max_iter)
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.init not in INIT_CHOICES:

@@ -118,20 +118,23 @@ def load_model(path) -> DiscriminantModel:
     if method not in METHODS:
         raise DatasetFormatError(f"{manifest_path}: unknown method {method!r}")
     with _manifest_entries(manifest_path):
-        input_dims = tuple(int(d) for d in doc["input_dims"])
-        raw_sub = doc["subspace_dims"]
-        subspace_dims = (
-            tuple(int(d) for d in raw_sub) if isinstance(raw_sub, list) else int(raw_sub)
+        config = TrainConfig(
+            subspace_dims=doc["subspace_dims"],
+            reg_lambda=doc["lambda"],
+            max_iter=doc["max_iter"],
+            eps=doc["eps"],
+            init=doc["init"],
         )
+        input_dims = tuple(int(d) for d in doc["input_dims"])
         shapes = [(int(e["rows"]), int(e["cols"])) for e in doc["projections"]]
-        _, sub = _subspace_dims(method, subspace_dims, input_dims)
+        _, sub = _subspace_dims(method, config.subspace_dims, input_dims)
         vector = method in VECTOR_METHODS
         expected = [(math.prod(input_dims), sub[0])] if vector else list(zip(input_dims, sub))
         means = [doc[key] for key in ("reference_mean", "class_means") if doc.get(key)]
         if shapes != expected or any(tuple(m["dims"]) != input_dims for m in means):
             raise DatasetFormatError(
                 f"{manifest_path}: matrix shapes do not fit a {method} model of input "
-                f"dims {input_dims} and subspace dims {subspace_dims}: projections "
+                f"dims {input_dims} and subspace dims {config.subspace_dims}: projections "
                 f"{shapes} (expected {expected}), means {[m['dims'] for m in means]}"
             )
         projections = [
@@ -145,14 +148,6 @@ def load_model(path) -> DiscriminantModel:
             entry = doc["class_means"]
             stacked = _read_finite(root / entry["file"], input_dims + (int(entry["count"]),))
             class_means = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
-        config = TrainConfig(
-            subspace_dims=subspace_dims,
-            reg_lambda=float(doc["lambda"]),
-            max_iter=int(doc["max_iter"]),
-            eps=float(doc["eps"]),
-            init=str(doc["init"]),
-            seed=int(doc["seed"]),
-        )
         report = FitReport(**doc["fit_report"])
         positive = doc.get("positive_class")
         positive = None if positive is None else int(positive)
@@ -160,7 +155,7 @@ def load_model(path) -> DiscriminantModel:
         method=method,
         projections=projections,
         input_dims=input_dims,
-        subspace_dims=subspace_dims,
+        subspace_dims=config.subspace_dims,
         reference_mean=reference_mean,
         positive_class=positive,
         config=config,

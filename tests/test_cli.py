@@ -327,6 +327,25 @@ def test_failed_forced_retrain_leaves_the_old_set_byte_identical(tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "ovr"]
 
 
+def test_failed_fit_leaves_no_stage(tmp_path, monkeypatch, capsys):
+    # the fit runs inside the stage, which a raising fit must not outlive
+    import mcsda.cli
+
+    def fit(*args, **kwargs):
+        raise RuntimeError("the fit failed")
+
+    data = make_synth(tmp_path)
+    monkeypatch.setattr(mcsda.cli, "fit_one_vs_rest", fit)
+    capsys.readouterr()
+    code = run(
+        "train", "--data", str(data), "--method", "csda", "--dims", "2",
+        "--one-vs-rest", "--out", str(tmp_path / "ovr"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: the fit failed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 @pytest.mark.parametrize("force", [(), ("--force",)])
 def test_train_one_vs_rest_refuses_a_dataset_directory(tmp_path, capsys, force):
     data = make_synth(tmp_path)
@@ -460,6 +479,24 @@ def test_eval_comma_list_of_model_dirs(tmp_path):
     )
     assert code == 0
     assert json.loads(report_path.read_text())["accuracy"] >= 0.99
+
+
+@pytest.mark.parametrize("form", ["{},", ",{}", "{},,{}"])
+def test_eval_empty_model_entry_is_a_usage_error(tmp_path, monkeypatch, capsys, form):
+    # an empty entry would be Path(""), the working directory: here a
+    # second set of models
+    data = make_synth(tmp_path)
+    models = train_ovr(tmp_path, data)
+    monkeypatch.chdir(train_ovr(tmp_path, data, name="other"))
+    capsys.readouterr()
+    spec = form.format(models, models)
+    code = run(
+        "eval", "--models", spec, "--data", str(data),
+        "--task", "verify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: --models {spec!r} holds an empty entry\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_classify_incomplete_cover_fails(tmp_path, capsys):
@@ -799,8 +836,11 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys):
         lambda doc: doc["class_means"].update(count="many"),
         lambda doc: doc["projections"][0].update(rows="x"),
         lambda doc: doc.update({"lambda": math.nan}),
+        lambda doc: doc.update(max_iter=2.5),
+        lambda doc: doc.update(subspace_dims=1.5),
     ],
-    ids=["class_means_count", "projection_rows", "nan_lambda"],
+    ids=["class_means_count", "projection_rows", "nan_lambda", "fractional_max_iter",
+         "fractional_subspace_dims"],
 )
 def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
     data = make_synth(tmp_path)
@@ -1246,6 +1286,7 @@ def test_train_has_no_seed_flag(tmp_path):
     data = make_synth(tmp_path)
     out = train_ovr(tmp_path, data, method="csda", dims="2")
     assert load_model(out / "class_1").config.seed == TrainConfig.seed == 0
+    assert json.loads((out / "class_1" / "model.json").read_text())["seed"] == 0
     with pytest.raises(SystemExit) as err:
         run(
             "train", "--data", str(data), "--method", "csda", "--dims", "2",

@@ -322,6 +322,10 @@ def test_synth_spec_validation():
         SynthSpec(dims=(0, 2), n_classes=2, samples_per_class=3)
     with pytest.raises(ValueError, match="n_classes"):
         SynthSpec(dims=(2,), n_classes=0, samples_per_class=3)
+    with pytest.raises(ValueError, match="^dims must be an integer, got 4.5$"):
+        SynthSpec(dims=(4.5, 3), n_classes=2, samples_per_class=3)
+    with pytest.raises(ValueError, match="^n_classes must be an integer, got 2.5$"):
+        SynthSpec(dims=(2,), n_classes=2.5, samples_per_class=3)
     with pytest.raises(ValueError, match="noise_sigma"):
         SynthSpec(dims=(2,), n_classes=2, samples_per_class=3, noise_sigma=-1.0)
 

@@ -68,10 +68,26 @@ def test_config_rejects_bad_values():
         TrainConfig(subspace_dims=1, reg_lambda=-0.1)
     with pytest.raises(ValueError, match="max_iter"):
         TrainConfig(subspace_dims=1, max_iter=0)
+    # a count is an integer: nothing is rounded, and a bool is no count
+    with pytest.raises(ValueError, match="^subspace_dims must be an integer, got 2.7$"):
+        TrainConfig(subspace_dims=(2.7, 2))
+    with pytest.raises(ValueError, match="^subspace_dims must be an integer, got 2.7$"):
+        TrainConfig(subspace_dims=2.7)
+    with pytest.raises(ValueError, match="^max_iter must be an integer, got 2.5$"):
+        TrainConfig(subspace_dims=1, max_iter=2.5)
+    with pytest.raises(ValueError, match="^max_iter must be an integer, got True$"):
+        TrainConfig(subspace_dims=1, max_iter=True)
     with pytest.raises(ValueError, match="eps"):
         TrainConfig(subspace_dims=1, eps=0.0)
     with pytest.raises(ValueError, match="init"):
         TrainConfig(subspace_dims=1, init="random")
+
+
+def test_config_takes_no_seed():
+    # no fit reads a seed; the class constant is what model.json records
+    with pytest.raises(TypeError):
+        TrainConfig(subspace_dims=1, seed=0)
+    assert TrainConfig.seed == TrainConfig(subspace_dims=1).seed == 0
 
 
 def test_config_normalizes_list_dims():
