@@ -24,6 +24,7 @@ import scipy
 from .datasets import (
     DatasetFormatError,
     SynthSpec,
+    _check_dims,
     _staged_directory,
     load_dataset,
     save_dataset,
@@ -50,18 +51,12 @@ logger = logging.getLogger(__name__)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    parts = text.split("x")
     try:
-        dims = tuple(int(p) for p in parts)
+        return _check_dims("dims", [int(p) for p in text.split("x")])
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid dims {text!r}: expected positive integers joined by 'x'"
+            f"invalid dims {text!r}: expected integers >= 1 joined by 'x'"
         ) from None
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(
-            f"invalid dims {text!r}: every entry must be >= 1"
-        )
-    return dims
 
 
 def _train_config(args, method: str) -> TrainConfig:

@@ -10,11 +10,13 @@ On disk a dataset is a directory holding three files:
 
 Every ``.bin`` array and JSON manifest, of datasets and models alike,
 goes through the one codec here: ``_write_array``, ``_read_array``
-(size-checked before reading), ``_read_json`` (version-checked) and
-``_manifest_entries`` (a missing or mistyped entry is a format error
-naming the manifest). A stack such as ``data.bin`` is one array with the
-count as its last axis. ``load_dataset`` reads it straight into one
-array and returns its (count, *dims) view: the samples lie in file
+(size-checked before reading), ``_read_json`` (the version must be the
+integer 1) and ``_manifest_entries`` (an entry that is missing or that a
+rule refuses is a format error naming the manifest). The rules cast
+nothing: ``_check_count``, ``_check_dims`` and ``_check_file_name`` (a
+plain name inside the directory). A stack such as ``data.bin`` is one
+array with the count as its last axis, and ``load_dataset`` returns the
+(count, *dims) view of the one array it reads: the samples lie in file
 order, each contiguous and Fortran-ordered, and are not C-contiguous.
 Every save, of a dataset, a model or a whole model set, writes through
 ``_staged_directory``: into a fresh hidden sibling directory, renamed
@@ -35,7 +37,7 @@ import os
 import re
 import shutil
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +62,35 @@ class DatasetFormatError(ValueError):
     """A dataset directory violates the documented file format."""
 
 
-def _check_count(name: str, value) -> int:
-    """`value` as an int, if it is an integer (not a bool) >= 1: the one count rule."""
+def _check_integer(name: str, value) -> int:
+    """`value` as an int, if it is an integer and not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
     return int(value)
+
+
+def _check_count(name: str, value, minimum: int = 1) -> int:
+    """`value` as an int, if it is an integer >= `minimum`: the one count rule."""
+    count = _check_integer(name, value)
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
+def _check_dims(name: str, value) -> tuple[int, ...]:
+    """`value` as a tuple of ints, if it is a non-empty list or tuple of
+    integers >= 1: the one dims rule."""
+    dims = tuple(_check_integer(name, d) for d in value) if isinstance(value, (list, tuple)) else ()
+    if not dims or min(dims) < 1:
+        raise ValueError(f"invalid {name} {value}")
+    return dims
+
+
+def _check_file_name(name: str, value) -> str:
+    """`value`, if it is a plain file name: one inside the manifest's directory."""
+    if not isinstance(value, str) or value in ("", "..") or Path(value).name != value:
+        raise ValueError(f"{name} must be a plain file name, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -127,6 +151,15 @@ class DatasetManifest:
     data_file: str
     label_file: str
 
+    def __post_init__(self):
+        if self.dtype != DTYPE_TAG:
+            raise ValueError(f"unsupported dtype tag {self.dtype!r}, expected {DTYPE_TAG!r}")
+        object.__setattr__(self, "dims", _check_dims("dims", self.dims))
+        _check_count("count", self.count, minimum=0)  # an empty dataset still round-trips
+        _check_count("n_classes", self.n_classes)
+        _check_file_name("data_file", self.data_file)
+        _check_file_name("label_file", self.label_file)
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -150,9 +183,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(_check_count("dims", d) for d in self.dims)
-        if not dims:
-            raise ValueError("dims must name at least one mode")
+        object.__setattr__(self, "dims", _check_dims("dims", self.dims))
         _check_count("n_classes", self.n_classes)
         _check_count("samples_per_class", self.samples_per_class)
         if not 0 < self.class_mean_scale < math.inf:
@@ -161,7 +192,6 @@ class SynthSpec:
             )
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        object.__setattr__(self, "dims", dims)
 
 
 def _write_array(path: Path, array: np.ndarray) -> None:
@@ -194,7 +224,7 @@ def _read_json(path: Path, version: int) -> dict:
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
     found = doc.get("version") if isinstance(doc, dict) else None
-    if found != version:
+    if type(found) is not int or found != version:  # 1.0 and true are not 1
         raise DatasetFormatError(
             f"{path}: unsupported version {found!r}, expected {version}"
         )
@@ -203,13 +233,15 @@ def _read_json(path: Path, version: int) -> dict:
 
 @contextmanager
 def _manifest_entries(path: Path):
-    """Report a missing or mistyped manifest entry met in the block as a
-    DatasetFormatError naming `path`; the codec's own errors pass through."""
+    """Report a missing entry, or one a rule refuses, met in the block as
+    a DatasetFormatError naming `path`; the codec's own errors pass through."""
     try:
         yield
     except DatasetFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
         raise DatasetFormatError(f"{path}: missing or malformed entry: {exc}") from exc
 
 
@@ -303,23 +335,7 @@ def _read_manifest(root: Path) -> DatasetManifest:
     manifest_path = root / MANIFEST_NAME
     doc = _read_json(manifest_path, MANIFEST_VERSION)
     with _manifest_entries(manifest_path):
-        if doc["dtype"] != DTYPE_TAG:
-            raise DatasetFormatError(
-                f"{manifest_path}: unsupported dtype tag {doc['dtype']!r}, "
-                f"expected {DTYPE_TAG!r}"
-            )
-        dims = tuple(int(d) for d in doc["dims"])
-        if not dims or any(d < 1 for d in dims):
-            raise DatasetFormatError(f"{manifest_path}: invalid dims {doc['dims']}")
-        return DatasetManifest(
-            version=int(doc["version"]),
-            dims=dims,
-            count=int(doc["count"]),
-            n_classes=int(doc["n_classes"]),
-            dtype=str(doc["dtype"]),
-            data_file=str(doc["data_file"]),
-            label_file=str(doc["label_file"]),
-        )
+        return DatasetManifest(**{f.name: doc[f.name] for f in fields(DatasetManifest)})
 
 
 def _read_labels(path: Path, count: int, n_classes: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgesdd
 
-from .datasets import LabeledDataset, _check_count
+from .datasets import LabeledDataset, _check_count, _check_dims
 from .linalg import ScatterPair, _solve_factor, solve_ratio_trace
 from .tensor_ops import (
     _check_projections,
@@ -114,12 +114,9 @@ class TrainConfig:
     seed: ClassVar[int] = 0
 
     def __post_init__(self):
-        dims = self.subspace_dims
-        if isinstance(dims, (tuple, list)) and dims:
-            dims = tuple(_check_count("subspace_dims", d) for d in dims)
-            object.__setattr__(self, "subspace_dims", dims)
-        else:  # one dimension; an empty sequence is no integer
-            _check_count("subspace_dims", dims)
+        one = not isinstance(self.subspace_dims, (tuple, list))
+        check = _check_count if one else _check_dims  # one dimension, or one per mode
+        object.__setattr__(self, "subspace_dims", check("subspace_dims", self.subspace_dims))
         if not 0 <= self.reg_lambda < math.inf:
             raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         _check_count("max_iter", self.max_iter)
@@ -425,10 +422,10 @@ def convergence_metric(prev, curr) -> float:
 
 
 def _subspace_dims(method: str, subspace_dims, dims):
-    """The model's `subspace_dims` and the per-mode dims the sweeps solve
-    for: one dimension of the vectorized sample for vector methods, one
-    dimension within 1..I_k per mode for tensor methods."""
-    sub = tuple(int(d) for d in np.atleast_1d(subspace_dims))
+    """The model's `subspace_dims`, as a `TrainConfig` holds them, and the
+    per-mode dims the sweeps solve for: one dimension of the vectorized
+    sample for vector methods, one within 1..I_k per mode for tensor methods."""
+    sub = subspace_dims if isinstance(subspace_dims, tuple) else (subspace_dims,)
     if method in VECTOR_METHODS:
         if len(sub) != 1:
             raise ValueError(
@@ -440,7 +437,7 @@ def _subspace_dims(method: str, subspace_dims, dims):
             f"need one subspace dimension per mode: got {sub} for dims {dims}"
         )
     for k, (d, full) in enumerate(zip(sub, dims)):
-        if not 1 <= d <= full:
+        if d > full:  # d >= 1 by the config's dims rule
             raise ValueError(
                 f"subspace dimension {d} for mode {k} outside 1..{full}"
             )
@@ -699,11 +696,13 @@ def similarity_score(model: DiscriminantModel, sample) -> float:
 def parameter_count(method: str, input_dims, subspace_dims) -> int:
     """Stored projection parameters: sum of I_k * I'_k per mode for
     tensor methods, whose subspace dims follow the fit's rule, and
-    prod(I_k) * prod(I'_k) for vector methods."""
-    dims = tuple(int(d) for d in input_dims)
+    prod(I_k) * prod(I'_k) for vector methods; `subspace_dims` are checked
+    as :class:`TrainConfig` checks them, `input_dims` by the dims rule."""
+    dims = _check_dims("input_dims", input_dims)
+    sub = TrainConfig(subspace_dims).subspace_dims
     if method in TENSOR_METHODS:
-        _, sub = _subspace_dims(method, subspace_dims, dims)
+        _, sub = _subspace_dims(method, sub, dims)
         return sum(i * j for i, j in zip(dims, sub))
     if method in VECTOR_METHODS:
-        return math.prod(dims) * math.prod(int(d) for d in np.atleast_1d(subspace_dims))
+        return math.prod(dims) * (math.prod(sub) if isinstance(sub, tuple) else sub)
     raise ValueError(f"unknown method {method!r}")

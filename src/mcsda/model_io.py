@@ -28,6 +28,9 @@ import numpy as np
 
 from .datasets import (
     DatasetFormatError,
+    _check_count,
+    _check_dims,
+    _check_file_name,
     _manifest_entries,
     _read_array,
     _read_json,
@@ -97,8 +100,9 @@ def _write_model(model: DiscriminantModel, root: Path) -> None:
     (root / MODEL_NAME).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _read_finite(path: Path, shape) -> np.ndarray:
-    """A model matrix file, which must hold finite values only."""
+def _read_finite(root: Path, entry: dict, shape) -> np.ndarray:
+    """The matrix in the file `entry` names in `root`: finite values only."""
+    path = root / _check_file_name("file", entry["file"])
     array = _read_array(path, shape)
     if not np.isfinite(array).all():
         raise DatasetFormatError(f"{path}: holds a NaN or infinite value")
@@ -125,8 +129,8 @@ def load_model(path) -> DiscriminantModel:
             eps=doc["eps"],
             init=doc["init"],
         )
-        input_dims = tuple(int(d) for d in doc["input_dims"])
-        shapes = [(int(e["rows"]), int(e["cols"])) for e in doc["projections"]]
+        input_dims = _check_dims("input_dims", doc["input_dims"])
+        shapes = [(e["rows"], e["cols"]) for e in doc["projections"]]
         _, sub = _subspace_dims(method, config.subspace_dims, input_dims)
         vector = method in VECTOR_METHODS
         expected = [(math.prod(input_dims), sub[0])] if vector else list(zip(input_dims, sub))
@@ -138,19 +142,20 @@ def load_model(path) -> DiscriminantModel:
                 f"{shapes} (expected {expected}), means {[m['dims'] for m in means]}"
             )
         projections = [
-            _read_finite(root / e["file"], shape) for e, shape in zip(doc["projections"], shapes)
+            _read_finite(root, e, shape) for e, shape in zip(doc["projections"], expected)
         ]
         reference_mean = None
         if doc.get("reference_mean") is not None:
-            reference_mean = _read_finite(root / doc["reference_mean"]["file"], input_dims)
+            reference_mean = _read_finite(root, doc["reference_mean"], input_dims)
         class_means = None
         if doc.get("class_means") is not None:
             entry = doc["class_means"]
-            stacked = _read_finite(root / entry["file"], input_dims + (int(entry["count"]),))
+            count = _check_count("count", entry["count"])
+            stacked = _read_finite(root, entry, input_dims + (count,))
             class_means = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
         report = FitReport(**doc["fit_report"])
         positive = doc.get("positive_class")
-        positive = None if positive is None else int(positive)
+        positive = None if positive is None else _check_count("positive_class", positive)
     return DiscriminantModel(
         method=method,
         projections=projections,

@@ -82,7 +82,7 @@ def test_synth_refuses_overwrite(tmp_path, capsys):
 
 
 def test_synth_bad_dims_usage_error(tmp_path):
-    for bad in ("8xx2", "0x3", "abc", "4x-2"):
+    for bad in ("8xx2", "0x3", "abc", "4x-2", "4x0", "4x", "2.5"):
         with pytest.raises(SystemExit) as err:
             run("synth", "--dims", bad, "--classes", "2",
                 "--per-class", "5", "--out", str(tmp_path / "x"))
@@ -819,11 +819,34 @@ def assert_one_error_line_naming(capsys, name):
     assert name in err
 
 
-def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys):
-    data = make_synth(tmp_path)
-    damage_json(data / "manifest.json", lambda doc: doc.update(dims=5))
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda doc, data: doc.update(dims=5),
+        lambda doc, data: doc.update(n_classes=3.7),
+        lambda doc, data: doc.update(n_classes="3"),
+        lambda doc, data: doc.update(n_classes=True),
+        lambda doc, data: doc.update(count=18.0),
+        lambda doc, data: doc.update(count="18"),
+        lambda doc, data: doc.update(dims=[4.0, 3]),
+        lambda doc, data: doc.update(dims=["4", "3"]),
+        lambda doc, data: doc.update(dims=[True, 12]),
+        lambda doc, data: doc.update(data_file="../other/data.bin"),
+        lambda doc, data: doc.update(data_file=str(data / "data.bin")),
+        lambda doc, data: doc.update(version=True),
+    ],
+    ids=["scalar_dims", "fractional_n_classes", "string_n_classes", "bool_n_classes",
+         "float_count", "string_count", "float_dims", "string_dims", "bool_dims",
+         "data_file_in_another_dataset", "absolute_data_file", "bool_version"],
+)
+def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damage):
+    # each damage but the first loads as some dataset if its entries are cast
+    data = make_synth(tmp_path, dims="4x3", per_class=6)
+    make_synth(tmp_path, "other", dims="4x3", per_class=6, seed=12)
+    damage_json(data / "manifest.json", lambda doc: damage(doc, data))
+    capsys.readouterr()
     code = run(
-        "train", "--data", str(data), "--method", "mcsda", "--dims", "2x2",
+        "train", "--data", str(data), "--method", "csda", "--dims", "2",
         "--positive-class", "1", "--out", str(tmp_path / "m"),
     )
     assert code == 1
@@ -838,9 +861,19 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys):
         lambda doc: doc.update({"lambda": math.nan}),
         lambda doc: doc.update(max_iter=2.5),
         lambda doc: doc.update(subspace_dims=1.5),
+        lambda doc: doc.update(positive_class=2.9),
+        lambda doc: doc.update(positive_class=True),
+        lambda doc: doc.update(positive_class=-3),
+        lambda doc: doc.update(positive_class="2"),
+        lambda doc: doc.update(input_dims=[4.7, 3]),
+        lambda doc: doc.update(input_dims=["4", "3"]),
+        lambda doc: doc["reference_mean"].update(file="../m/mean.bin"),
+        lambda doc: doc.update(version=True),
     ],
     ids=["class_means_count", "projection_rows", "nan_lambda", "fractional_max_iter",
-         "fractional_subspace_dims"],
+         "fractional_subspace_dims", "fractional_positive_class", "bool_positive_class",
+         "negative_positive_class", "string_positive_class", "fractional_input_dims",
+         "string_input_dims", "mean_file_outside_model", "bool_version"],
 )
 def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
     data = make_synth(tmp_path)

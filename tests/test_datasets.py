@@ -9,6 +9,7 @@ import pytest
 
 from mcsda import (
     DatasetFormatError,
+    DatasetManifest,
     LabeledDataset,
     SynthSpec,
     load_dataset,
@@ -324,6 +325,8 @@ def test_synth_spec_validation():
         SynthSpec(dims=(2,), n_classes=0, samples_per_class=3)
     with pytest.raises(ValueError, match="^dims must be an integer, got 4.5$"):
         SynthSpec(dims=(4.5, 3), n_classes=2, samples_per_class=3)
+    with pytest.raises(ValueError, match=r"^invalid dims \(\)$"):
+        SynthSpec(dims=(), n_classes=2, samples_per_class=3)
     with pytest.raises(ValueError, match="^n_classes must be an integer, got 2.5$"):
         SynthSpec(dims=(2,), n_classes=2.5, samples_per_class=3)
     with pytest.raises(ValueError, match="noise_sigma"):
@@ -510,6 +513,43 @@ def test_manifest_with_invalid_dims(tmp_path, rng, capsys, dims):
     assert train_exit_code(root, tmp_path, capsys) == (1, f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"data_file": "."}, "data_file must be a plain file name, got '.'"),
+        ({"label_file": ".."}, "label_file must be a plain file name, got '..'"),
+        ({"label_file": ""}, "label_file must be a plain file name, got ''"),
+        ({"data_file": "sub/data.bin"}, "data_file must be a plain file name, got 'sub/data.bin'"),
+        ({"data_file": 7}, "data_file must be a plain file name, got 7"),
+        ({"count": -1}, "count must be >= 0, got -1"),
+        ({"dims": [2, True]}, "dims must be an integer, got True"),
+        ({"version": 1.0}, "unsupported version 1.0, expected 1"),
+    ],
+    ids=["dot", "dot_dot", "empty", "subdirectory", "number", "negative_count", "bool_dims",
+         "float_version"],
+)
+def test_manifest_entries_follow_the_rules(tmp_path, rng, capsys, entries, message):
+    root = damaged_dataset(tmp_path, rng, edit_manifest(**entries))
+    message = f"{root / 'manifest.json'}: {message}"
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(root)
+    assert str(err.value) == message
+    assert train_exit_code(root, tmp_path, capsys) == (1, f"error: {message}\n")
+
+
+def test_manifest_record_checks_itself(tmp_path):
+    empty = LabeledDataset(samples=np.zeros((0, 2, 3)), labels=np.zeros(0), n_classes=1)
+    manifest = save_dataset(empty, tmp_path / "ds")
+    assert (manifest.count, manifest.dims) == (0, (2, 3))
+    assert load_dataset(tmp_path / "ds").samples.shape == (0, 2, 3)
+    entries = {**manifest.to_json_dict(), "dims": [2, 3]}
+    assert DatasetManifest(**entries) == manifest
+    with pytest.raises(ValueError, match="^data_file must be a plain file name, got '/data.bin'$"):
+        DatasetManifest(**{**entries, "data_file": "/data.bin"})
+    with pytest.raises(ValueError, match="^n_classes must be an integer, got 1.0$"):
+        DatasetManifest(**{**entries, "n_classes": 1.0})
+
+
 def test_missing_label_file(tmp_path, rng, capsys):
     root = damaged_dataset(tmp_path, rng, lambda root: (root / "labels.csv").unlink())
     message = f"missing label file {root / 'labels.csv'}"
@@ -529,7 +569,7 @@ def test_no_classes(tmp_path, rng, capsys):
         (root / "labels.csv").write_text("")
 
     root = damaged_dataset(tmp_path, rng, empty)
-    message = f"{root / 'data.bin'}: n_classes must be >= 1, got 0"
+    message = f"{root / 'manifest.json'}: n_classes must be >= 1, got 0"
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(root)
     assert str(err.value) == message

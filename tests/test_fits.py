@@ -73,6 +73,8 @@ def test_config_rejects_bad_values():
         TrainConfig(subspace_dims=(2.7, 2))
     with pytest.raises(ValueError, match="^subspace_dims must be an integer, got 2.7$"):
         TrainConfig(subspace_dims=2.7)
+    with pytest.raises(ValueError, match=r"^invalid subspace_dims \(\)$"):
+        TrainConfig(subspace_dims=())
     with pytest.raises(ValueError, match="^max_iter must be an integer, got 2.5$"):
         TrainConfig(subspace_dims=1, max_iter=2.5)
     with pytest.raises(ValueError, match="^max_iter must be an integer, got True$"):
@@ -614,6 +616,15 @@ def test_parameter_count_validation():
         parameter_count("mcsda", (4, 3), (2,))
     with pytest.raises(ValueError, match=r"outside 1\.\.4"):
         parameter_count("mcsda", (4, 3), (5, 2))
+    # dims and subspace dims follow the dims and count rules: nothing is rounded
+    with pytest.raises(ValueError, match="^subspace_dims must be an integer, got 2.5$"):
+        parameter_count("csda", (30, 30), 2.5)
+    with pytest.raises(ValueError, match="^subspace_dims must be an integer, got 2.7$"):
+        parameter_count("mcsda", (4, 3), (2.7, 2))
+    with pytest.raises(ValueError, match="^input_dims must be an integer, got 4.9$"):
+        parameter_count("mcsda", (4.9, 3), (2, 2))
+    with pytest.raises(ValueError, match="^subspace_dims must be an integer, got True$"):
+        parameter_count("csda", (4, 3), True)
 
 
 # ---------------------------------------------------------------------------
