@@ -140,9 +140,10 @@ class ClassStatistics:
 class FitReport:
     """Bookkeeping of one training run.
 
-    `objective_trace` and `convergence_trace` carry one entry per sweep;
-    a one-mode criterion (every vector method) reports one converged
-    sweep, at distance 0.
+    `objective_trace` and `convergence_trace` list one real number per
+    sweep, `iterations_run` of them, and may hold inf (:func:`_ratio`);
+    `converged` is a bool. A one-mode criterion (every vector method)
+    reports one converged sweep, at distance 0.
     """
 
     objective_trace: list[float]
@@ -151,6 +152,18 @@ class FitReport:
     converged: bool
     wall_time_seconds: float
     parameter_count: int
+
+    def __post_init__(self):
+        n = _check_count("iterations_run", self.iterations_run)
+        for name in ("objective_trace", "convergence_trace"):
+            trace = getattr(self, name)
+            if not isinstance(trace, list) or len(trace) != n or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in trace
+            ):
+                raise ValueError(f"{name} must hold iterations_run={n} real numbers, got {trace!r}")
+        if not isinstance(self.converged, bool):
+            raise ValueError(f"converged must be true or false, got {self.converged!r}")
+        _check_count("parameter_count", self.parameter_count, minimum=0)
 
 
 @dataclass

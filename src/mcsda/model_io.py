@@ -130,12 +130,13 @@ def load_model(path) -> DiscriminantModel:
             init=doc["init"],
         )
         input_dims = _check_dims("input_dims", doc["input_dims"])
-        shapes = [(e["rows"], e["cols"]) for e in doc["projections"]]
-        _, sub = _subspace_dims(method, config.subspace_dims, input_dims)
+        shapes = [(_check_count("rows", e["rows"]), _check_count("cols", e["cols"]))
+                  for e in doc["projections"]]
+        subspace, sub = _subspace_dims(method, config.subspace_dims, input_dims)
         vector = method in VECTOR_METHODS
         expected = [(math.prod(input_dims), sub[0])] if vector else list(zip(input_dims, sub))
         means = [doc[key] for key in ("reference_mean", "class_means") if doc.get(key)]
-        if shapes != expected or any(tuple(m["dims"]) != input_dims for m in means):
+        if shapes != expected or any(_check_dims("dims", m["dims"]) != input_dims for m in means):
             raise DatasetFormatError(
                 f"{manifest_path}: matrix shapes do not fit a {method} model of input "
                 f"dims {input_dims} and subspace dims {config.subspace_dims}: projections "
@@ -154,13 +155,16 @@ def load_model(path) -> DiscriminantModel:
             stacked = _read_finite(root, entry, input_dims + (count,))
             class_means = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
         report = FitReport(**doc["fit_report"])
+        stored = _check_count("parameter_count", doc["parameter_count"], minimum=0)
+        if stored != report.parameter_count:
+            raise ValueError(f"parameter_count {stored} differs from the fit report's")
         positive = doc.get("positive_class")
         positive = None if positive is None else _check_count("positive_class", positive)
     return DiscriminantModel(
         method=method,
         projections=projections,
         input_dims=input_dims,
-        subspace_dims=config.subspace_dims,
+        subspace_dims=subspace,
         reference_mean=reference_mean,
         positive_class=positive,
         config=config,

@@ -869,11 +869,29 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
         lambda doc: doc.update(input_dims=["4", "3"]),
         lambda doc: doc["reference_mean"].update(file="../m/mean.bin"),
         lambda doc: doc.update(version=True),
+        lambda doc: doc["fit_report"].update(iterations_run="many"),
+        lambda doc: doc["fit_report"].update(iterations_run=7),
+        lambda doc: doc["fit_report"].update(converged="no"),
+        lambda doc: doc["fit_report"].update(objective_trace="abc"),
+        lambda doc: doc["fit_report"].update(objective_trace=[True]),
+        lambda doc: doc["fit_report"].update(convergence_trace=[0.0, 0.0]),
+        lambda doc: doc["fit_report"].update(parameter_count=2.5),
+        lambda doc: doc.update(parameter_count=7),
+        lambda doc: doc.update(parameter_count=30.0),
+        lambda doc: doc["projections"][0].update(rows=30.0),
+        lambda doc: doc["projections"][0].update(cols=1.0),
+        lambda doc: doc["reference_mean"].update(dims=[6.0, 5]),
+        lambda doc: doc["class_means"].update(dims=[6, 5.0]),
     ],
     ids=["class_means_count", "projection_rows", "nan_lambda", "fractional_max_iter",
          "fractional_subspace_dims", "fractional_positive_class", "bool_positive_class",
          "negative_positive_class", "string_positive_class", "fractional_input_dims",
-         "string_input_dims", "mean_file_outside_model", "bool_version"],
+         "string_input_dims", "mean_file_outside_model", "bool_version",
+         "string_iterations_run", "iterations_run_not_trace_length", "string_converged",
+         "string_objective_trace", "bool_objective", "convergence_trace_too_long",
+         "fractional_report_parameter_count", "parameter_count_not_the_report_s",
+         "float_parameter_count", "float_rows", "float_cols", "float_mean_dims",
+         "float_class_means_dims"],
 )
 def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
     data = make_synth(tmp_path)

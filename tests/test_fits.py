@@ -2,7 +2,11 @@
 bookkeeping, fixed-point self-consistency, and scoring."""
 
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -790,3 +794,41 @@ def test_objective_trace_with_a_nearly_singular_denominator(rng):
         assert model.fit_report.objective_trace[-1] == class_specific_objective(
             ds, c, model.projections
         )
+
+
+ONE_VS_REST_FITS = """
+import sys
+import numpy as np
+from mcsda import SynthSpec, TrainConfig, fit_one_vs_rest, synth_generate
+spec = SynthSpec((10, 8, 6), 6, 40, class_mean_scale=1, noise_sigma=2, seed=7)
+data, out = synth_generate(spec), {}
+for method, sub in [("csda", 20), ("mcsda", (4, 4, 3))]:
+    for c, model in enumerate(fit_one_vs_rest(data, method, TrainConfig(sub)), start=1):
+        report = model.fit_report
+        out[f"{method}{c}"] = [report.iterations_run, report.converged]
+        out.update({f"{method}{c}W{k}": w for k, w in enumerate(model.projections)})
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_fits_agree_across_blas_thread_counts(tmp_path):
+    # a fit's bytes may change with the BLAS thread count (csda's do), but
+    # not its subspaces beyond rounding, its sweep count or its stop
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        path = tmp_path / f"threads{threads}.npz"
+        proc = subprocess.run(
+            [sys.executable, "-c", ONE_VS_REST_FITS, str(path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(dict(np.load(path)))
+    one, two = runs
+    assert one.keys() == two.keys() and len(one) == 6 * (2 + 1 + 3)
+    for key in one:
+        if "W" in key:
+            assert subspace_angles(one[key], two[key]).max() < 1e-8, key
+        else:
+            assert np.array_equal(one[key], two[key]), key

@@ -7,6 +7,7 @@ import pytest
 
 from mcsda import (
     DatasetFormatError,
+    LabeledDataset,
     TrainConfig,
     fit_class_specific,
     fit_csda,
@@ -15,6 +16,7 @@ from mcsda import (
     fit_mda,
     load_model,
     save_model,
+    score_batch,
 )
 
 from conftest import random_dataset
@@ -83,6 +85,37 @@ def test_resave_is_byte_identical(rng, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+def test_vector_subspace_dims_list_loads_as_the_fit_s_scalar(rng, tmp_path):
+    model = fitted(rng, "csda")
+    save_model(model, tmp_path / "a")
+    manifest = tmp_path / "a" / "model.json"
+    doc = json.loads(manifest.read_text())
+    doc["subspace_dims"] = [2]
+    manifest.write_text(json.dumps(doc))
+    loaded = load_model(tmp_path / "a")
+    assert loaded.subspace_dims == model.subspace_dims == 2
+    save_model(loaded, tmp_path / "b")
+    assert json.loads((tmp_path / "b" / "model.json").read_text())["subspace_dims"] == 2
+
+
+def test_one_positive_sample_round_trips_an_infinite_objective(rng, tmp_path):
+    # one positive sample leaves the in-class scatter zero, so every sweep's
+    # objective is inf; model.json spells it Infinity, and it loads back
+    ds = random_dataset(rng, dims=(4, 3), n_classes=3, per_class=8)
+    keep = np.r_[0, 8:24]
+    ds = LabeledDataset(samples=ds.samples[keep], labels=ds.labels[keep], n_classes=3)
+    for name, model in [
+        ("csda", fit_csda(ds, 1, TrainConfig(subspace_dims=2))),
+        ("mcsda", fit_mcsda(ds, 1, TrainConfig(subspace_dims=(2, 2), max_iter=3))),
+    ]:
+        assert model.fit_report.objective_trace == [np.inf] * model.fit_report.iterations_run
+        save_model(model, tmp_path / name)
+        assert "Infinity" in (tmp_path / name / "model.json").read_text()
+        loaded = load_model(tmp_path / name)
+        assert_models_equal(model, loaded)
+        assert np.array_equal(score_batch(loaded, ds.samples), score_batch(model, ds.samples))
 
 
 def test_projection_files_are_fortran_float64(rng, tmp_path):

@@ -8,8 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -39,15 +37,3 @@ def test_synthetic_protocol(tmp_path):
         assert 0.0 <= row["map"]["mean"] <= 1.0
         assert row["train_seconds"]["mean"] > 0
 
-
-def test_timing_comparison(tmp_path):
-    rows = run_script(
-        "timing_comparison.py", "--sizes", "8x6:2x2", "--n", "24",
-        "--repeats", "1", report=tmp_path / "timing.json",
-    )
-    assert len(rows) == 1
-    (row,) = rows
-    assert row["dims"] == [8, 6] and row["subspace"] == [2, 2]
-    assert row["csda_seconds"] > 0 and row["mcsda_seconds"] > 0
-    assert row["ratio"] == pytest.approx(row["csda_seconds"] / row["mcsda_seconds"])
-    assert row["predicted_ratio"] > 0
