@@ -24,6 +24,7 @@ import scipy
 from .datasets import (
     DatasetFormatError,
     SynthSpec,
+    _check_count,
     _check_dims,
     _staged_directory,
     load_dataset,
@@ -247,8 +248,7 @@ def cmd_bench(args) -> int:
     """Time the vectorized against the multilinear class-specific fit on
     one synthetic dataset and report wall times, the model-size gap and
     the scoring throughput of each fitted model."""
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    _check_count("--repeats", args.repeats)
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, one sample per class, got {args.n}")
     dims = args.dims

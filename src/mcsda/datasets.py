@@ -13,15 +13,15 @@ goes through the one codec here: ``_write_array``, ``_read_array``
 (size-checked before reading), ``_read_json`` (the version must be the
 integer 1) and ``_manifest_entries`` (an entry that is missing or that a
 rule refuses is a format error naming the manifest). The rules cast
-nothing: ``_check_count``, ``_check_dims`` and ``_check_file_name`` (a
-plain name inside the directory). A stack such as ``data.bin`` is one
-array with the count as its last axis, and ``load_dataset`` returns the
-(count, *dims) view of the one array it reads: the samples lie in file
-order, each contiguous and Fortran-ordered, and are not C-contiguous.
-Every save, of a dataset, a model or a whole model set, writes through
-``_staged_directory``: into a fresh hidden sibling directory, renamed
-into place once complete, so a failed save leaves the target as it was.
-``_check_target`` is its one overwrite rule.
+nothing: ``_check_count``, ``_check_real``, ``_check_dims`` and
+``_check_file_name`` (a plain name in the directory). A stack such as
+``data.bin`` is one array with the count as its last axis, and
+``load_dataset`` returns the (count, *dims) view of the array it reads:
+the samples lie in file order, each contiguous and Fortran-ordered, and
+are not C-contiguous. Every save, of a dataset, a model or a whole model
+set, writes through ``_staged_directory``: into a fresh hidden sibling
+directory, renamed into place once complete, so a failed save leaves the
+target as it was. ``_check_target`` is its one overwrite rule.
 
 All randomness (splits, synthetic data) goes through numpy's default
 PCG64 ``Generator`` seeded explicitly, so results are reproducible from
@@ -75,6 +75,16 @@ def _check_count(name: str, value, minimum: int = 1) -> int:
     if count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {count}")
     return count
+
+
+def _check_real(name: str, value, minimum: float, strict: bool = False):
+    """`value`, if it is a finite real number, not a bool, >= `minimum` (> with `strict`)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+        bound = f"{'>' if strict else '>='} {minimum}"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+    return value
 
 
 def _check_dims(name: str, value) -> tuple[int, ...]:
@@ -172,7 +182,7 @@ class SynthSpec:
     class_mean_scale^2) entries; samples add independent Normal(0,
     noise_sigma^2) entry noise to their class mean. noise_sigma = 0 makes
     every sample equal to its class mean. Every dim and both counts are
-    integers >= 1.
+    integers >= 1, and the seed an integer >= 0.
     """
 
     dims: tuple[int, ...]
@@ -186,12 +196,9 @@ class SynthSpec:
         object.__setattr__(self, "dims", _check_dims("dims", self.dims))
         _check_count("n_classes", self.n_classes)
         _check_count("samples_per_class", self.samples_per_class)
-        if not 0 < self.class_mean_scale < math.inf:
-            raise ValueError(
-                f"class_mean_scale must be finite and > 0, got {self.class_mean_scale}"
-            )
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        _check_real("class_mean_scale", self.class_mean_scale, 0, strict=True)
+        _check_real("noise_sigma", self.noise_sigma, 0)
+        _check_count("seed", self.seed, minimum=0)
 
 
 def _write_array(path: Path, array: np.ndarray) -> None:
@@ -392,8 +399,9 @@ def stratified_split(
     generator seeded with `seed`; both halves keep the original sample
     order. The same seed always produces the same split.
     """
-    if not 0.0 < fraction < 1.0:
+    if _check_real("fraction", fraction, 0, strict=True) >= 1:
         raise ValueError(f"fraction must lie strictly in (0, 1), got {fraction}")
+    _check_count("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     train_mask = np.zeros(data.count, dtype=bool)
     for label in range(1, data.n_classes + 1):

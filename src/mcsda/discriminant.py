@@ -45,7 +45,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgesdd
 
-from .datasets import LabeledDataset, _check_count, _check_dims
+from .datasets import LabeledDataset, _check_count, _check_dims, _check_integer, _check_real
 from .linalg import ScatterPair, _solve_factor, solve_ratio_trace
 from .tensor_ops import (
     _check_projections,
@@ -117,11 +117,9 @@ class TrainConfig:
         one = not isinstance(self.subspace_dims, (tuple, list))
         check = _check_count if one else _check_dims  # one dimension, or one per mode
         object.__setattr__(self, "subspace_dims", check("subspace_dims", self.subspace_dims))
-        if not 0 <= self.reg_lambda < math.inf:
-            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
+        _check_real("reg_lambda", self.reg_lambda, 0)
         _check_count("max_iter", self.max_iter)
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        _check_real("eps", self.eps, 0, strict=True)
         if self.init not in INIT_CHOICES:
             raise ValueError(f"init must be one of {INIT_CHOICES}, got {self.init!r}")
 
@@ -163,6 +161,7 @@ class FitReport:
                 raise ValueError(f"{name} must hold iterations_run={n} real numbers, got {trace!r}")
         if not isinstance(self.converged, bool):
             raise ValueError(f"converged must be true or false, got {self.converged!r}")
+        _check_real("wall_time_seconds", self.wall_time_seconds, 0)
         _check_count("parameter_count", self.parameter_count, minimum=0)
 
 
@@ -204,12 +203,12 @@ def _flatten_samples(samples: np.ndarray) -> np.ndarray:
 
 def _nonempty_counts(data: LabeledDataset, positive: int | None) -> np.ndarray:
     """Per-class sample counts; errors on the first empty class and on a
-    positive class (if one is given) outside 1..n_classes."""
+    positive class (if one is given) that is no integer in 1..n_classes."""
     counts = data.class_counts()
     for label, count in enumerate(counts, start=1):
         if count == 0:
             raise ValueError(f"class {label} is empty")
-    if positive is not None and not 1 <= positive <= data.n_classes:
+    if positive is not None and not 1 <= _check_integer("positive class", positive) <= len(counts):
         raise ValueError(f"positive class {positive} outside 1..{data.n_classes}")
     return counts
 

@@ -89,6 +89,16 @@ def test_synth_bad_dims_usage_error(tmp_path):
         assert err.value.code == 2
 
 
+def test_synth_negative_seed_usage_error(tmp_path, capsys):
+    code = run(
+        "synth", "--dims", "4x3", "--classes", "2", "--per-class", "5", "--seed", "-1",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_bad_spec_usage_error(tmp_path, capsys):
     code = run(
         "synth", "--dims", "4x3", "--classes", "0", "--per-class", "5",
@@ -882,6 +892,11 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
         lambda doc: doc["projections"][0].update(cols=1.0),
         lambda doc: doc["reference_mean"].update(dims=[6.0, 5]),
         lambda doc: doc["class_means"].update(dims=[6, 5.0]),
+        lambda doc: doc.update({"lambda": True}),
+        lambda doc: doc.update(eps=True),
+        lambda doc: doc["fit_report"].update(wall_time_seconds="slow"),
+        lambda doc: doc["fit_report"].update(wall_time_seconds=-3.0),
+        lambda doc: doc["fit_report"].update(wall_time_seconds=math.nan),
     ],
     ids=["class_means_count", "projection_rows", "nan_lambda", "fractional_max_iter",
          "fractional_subspace_dims", "fractional_positive_class", "bool_positive_class",
@@ -891,7 +906,8 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
          "string_objective_trace", "bool_objective", "convergence_trace_too_long",
          "fractional_report_parameter_count", "parameter_count_not_the_report_s",
          "float_parameter_count", "float_rows", "float_cols", "float_mean_dims",
-         "float_class_means_dims"],
+         "float_class_means_dims", "bool_lambda", "bool_eps", "string_wall_time",
+         "negative_wall_time", "nan_wall_time"],
 )
 def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
     data = make_synth(tmp_path)

@@ -1,7 +1,9 @@
 """Dataset container, file format, splits and synthetic generation."""
 
 import json
+import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from mcsda import (
     stratified_split,
     synth_generate,
 )
+from mcsda.datasets import _check_real
 
 from conftest import random_dataset
 
@@ -261,6 +264,22 @@ def test_split_golden_fixture():
     assert train.labels.tolist() == [1, 1, 2, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "fraction,seed,error",
+    [
+        ("0.5", 1, "fraction must be a real number, got '0.5'"),
+        (True, 1, "fraction must be a real number, got True"),
+        (0.5, 2.5, "seed must be an integer, got 2.5"),
+        (0.5, -1, "seed must be >= 0, got -1"),
+    ],
+    ids=["string_fraction", "bool_fraction", "float_seed", "negative_seed"],
+)
+def test_split_rejects_mistyped_arguments(rng, fraction, seed, error):
+    ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=4)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        stratified_split(ds, fraction, seed=seed)
+
+
 def test_split_degenerate_fraction(rng):
     ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=4)
     for bad in (0.0, 1.0, -0.5, 1.5):
@@ -331,6 +350,46 @@ def test_synth_spec_validation():
         SynthSpec(dims=(2,), n_classes=2.5, samples_per_class=3)
     with pytest.raises(ValueError, match="noise_sigma"):
         SynthSpec(dims=(2,), n_classes=2, samples_per_class=3, noise_sigma=-1.0)
+    # reals refuse a bool; a seed is a count >= 0, refused before any draw
+    with pytest.raises(ValueError, match="^class_mean_scale must be a real number, got True$"):
+        SynthSpec(dims=(2,), n_classes=2, samples_per_class=3, class_mean_scale=True)
+    with pytest.raises(ValueError, match="^noise_sigma must be a real number, got True$"):
+        SynthSpec(dims=(2,), n_classes=2, samples_per_class=3, noise_sigma=True)
+    with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+        SynthSpec(dims=(2,), n_classes=2, samples_per_class=3, seed=True)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 2.5$"):
+        SynthSpec(dims=(2,), n_classes=2, samples_per_class=3, seed=2.5)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SynthSpec(dims=(2,), n_classes=2, samples_per_class=3, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "value,strict,error",
+    [
+        (True, False, "must be a real number, got True"),
+        (np.True_, False, f"must be a real number, got {np.True_!r}"),
+        ("1.0", False, "must be a real number, got '1.0'"),
+        (None, False, "must be a real number, got None"),
+        (np.nan, False, "must be finite and >= 0, got nan"),
+        (np.inf, False, "must be finite and >= 0, got inf"),
+        (-np.inf, False, "must be finite and >= 0, got -inf"),
+        (-1e-300, False, "must be finite and >= 0, got -1e-300"),
+        (0.0, True, "must be finite and > 0, got 0.0"),
+        (np.float32(0), True, "must be finite and > 0, got 0.0"),
+    ],
+    ids=["bool", "numpy_bool", "string", "none", "nan", "inf", "-inf", "negative",
+         "zero_strict", "float32_zero_strict"],
+)
+def test_real_rule_refuses(value, strict, error):
+    with pytest.raises(ValueError, match=f"^x {re.escape(error)}$"):
+        _check_real("x", value, 0, strict=strict)
+
+
+@pytest.mark.parametrize(
+    "value", [0, 0.0, 2, 0.5, np.float64(1e-300), np.float32(3.5), np.int64(7), Fraction(1, 3)]
+)
+def test_real_rule_accepts_and_casts_nothing(value):
+    assert _check_real("x", value, 0) is value
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,15 @@ def test_config_rejects_bad_values():
         TrainConfig(subspace_dims=1, eps=0.0)
     with pytest.raises(ValueError, match="init"):
         TrainConfig(subspace_dims=1, init="random")
+    # a real setting is a real number: a bool or a string is refused
+    with pytest.raises(ValueError, match="^reg_lambda must be a real number, got True$"):
+        TrainConfig(subspace_dims=1, reg_lambda=True)
+    with pytest.raises(ValueError, match="^eps must be a real number, got True$"):
+        TrainConfig(subspace_dims=1, eps=True)
+    with pytest.raises(ValueError, match="^reg_lambda must be a real number, got '0.01'$"):
+        TrainConfig(subspace_dims=1, reg_lambda="0.01")
+    with pytest.raises(ValueError, match=r"^reg_lambda must be finite and >= 0, got -0\.1$"):
+        TrainConfig(subspace_dims=1, reg_lambda=-0.1)
 
 
 def test_config_takes_no_seed():
@@ -148,6 +157,15 @@ def test_csda_all_positive_rejected(rng):
     )
     with pytest.raises(ValueError):
         fit_csda(ds, 1, TrainConfig(subspace_dims=1))
+
+
+@pytest.mark.parametrize("positive", [2.0, True], ids=["float", "bool"])
+def test_fit_rejects_a_positive_class_that_is_no_integer(rng, positive):
+    # load_model refuses such a positive class, so no fit may save one;
+    # tests/test_scatters.py runs the same case through every criterion
+    ds = random_dataset(rng, dims=(3, 2), n_classes=2, per_class=4)
+    with pytest.raises(ValueError, match=f"^positive class must be an integer, got {positive}$"):
+        fit_class_specific(ds, "csda", positive, TrainConfig(subspace_dims=1))
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,14 @@ def test_criterion_rejects_a_positive_class_out_of_range(rng, name):
         CRITERIA[name](ds, 5)
 
 
+@pytest.mark.parametrize("positive", [2.0, True, "2"])
+@pytest.mark.parametrize("name", TAKE_POSITIVE)
+def test_criterion_rejects_a_positive_class_that_is_no_integer(rng, name, positive):
+    ds = random_dataset(rng, dims=(2,), n_classes=2, per_class=3)
+    with pytest.raises(ValueError, match=f"^positive class must be an integer, got {positive!r}$"):
+        CRITERIA[name](ds, positive)
+
+
 @pytest.mark.parametrize(
     "name",
     ["csda_scatters", "mode_k_class_specific_scatters", "class_specific_objective",
