@@ -121,7 +121,7 @@ class LabeledDataset:
             raise ValueError(
                 f"got {labels.size} labels for {samples.shape[0]} samples"
             )
-        _check_count("n_classes", self.n_classes)
+        object.__setattr__(self, "n_classes", _check_count("n_classes", self.n_classes))
         if labels.size and (labels.min() < 1 or labels.max() > self.n_classes):
             raise ValueError(
                 f"labels must lie in 1..{self.n_classes}, found range "

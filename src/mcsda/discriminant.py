@@ -3,17 +3,20 @@
 All four trainers run on one fit engine. ``_criterion`` builds every
 criterion, for the fits, the public scatters and the objectives alike:
 a numerator and a denominator stack of centered tensors, flattened for
-the vector methods. The engine lays each stack out once per mode
+the vector methods. ``_projection_shapes`` is the one shape rule: one
+(prod(I_k), d) matrix for a vector method, one (I_k, d_k) per mode for a
+tensor method, as the fits, ``load_model`` and ``parameter_count`` take
+them. The engine lays each stack out once per mode
 (``tensor_ops._mode_layout``) and runs Gauss-Seidel sweeps of per-mode
 regularized ratio-trace eigensolves over the layouts, from an all-ones
 initialization until the summed projector distance between consecutive
 sweeps drops to `eps`. Every solve gets the lower-triangle scatters that
 LAPACK reads, as its own scratch: a vector fit holds its two stacks and
-two n x n Grams, with no copies of them. One sweep solves a one-mode
-criterion jointly, so ``fit_lda`` and ``fit_csda`` (and
-``fit_mda``/``fit_mcsda`` on one-mode data, which equal them bit for
-bit) report one converged sweep; lda's solve works on the C rows of its
-between-class numerator stack. Each sweep's objective comes from its
+two n x n Grams, with no copies of them. The fit's one one-mode branch
+solves a one-mode criterion jointly, so ``fit_lda`` and ``fit_csda``
+(and ``fit_mda``/``fit_mcsda`` on one-mode data, which equal them bit
+for bit) report one converged sweep; lda's solve works on the C rows of
+its between-class numerator stack. Each sweep's objective comes from its
 last solve's unfoldings, and the public objectives run the same
 routines, so a fit's last objective is the public objective of its
 projections, bit for bit.
@@ -117,9 +120,10 @@ class TrainConfig:
         one = not isinstance(self.subspace_dims, (tuple, list))
         check = _check_count if one else _check_dims  # one dimension, or one per mode
         object.__setattr__(self, "subspace_dims", check("subspace_dims", self.subspace_dims))
-        _check_real("reg_lambda", self.reg_lambda, 0)
-        _check_count("max_iter", self.max_iter)
-        _check_real("eps", self.eps, 0, strict=True)
+        # store the plain numbers the rules accepted, which JSON can write
+        object.__setattr__(self, "reg_lambda", float(_check_real("reg_lambda", self.reg_lambda, 0)))
+        object.__setattr__(self, "max_iter", _check_count("max_iter", self.max_iter))
+        object.__setattr__(self, "eps", float(_check_real("eps", self.eps, 0, strict=True)))
         if self.init not in INIT_CHOICES:
             raise ValueError(f"init must be one of {INIT_CHOICES}, got {self.init!r}")
 
@@ -433,61 +437,59 @@ def convergence_metric(prev, curr) -> float:
 # fitting
 
 
-def _subspace_dims(method: str, subspace_dims, dims):
-    """The model's `subspace_dims`, as a `TrainConfig` holds them, and the
-    per-mode dims the sweeps solve for: one dimension of the vectorized
-    sample for vector methods, one within 1..I_k per mode for tensor methods."""
+def _projection_shapes(method: str, subspace_dims, dims):
+    """The one shape rule of fits, model files and parameter counts: the
+    model's `subspace_dims`, as a `TrainConfig` holds them, and the (rows,
+    cols) of every projection matrix: one (prod(dims), d), d within
+    1..prod(dims), for vector methods, one (I_k, d_k) per mode, d_k within
+    1..I_k, for tensor methods."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     sub = subspace_dims if isinstance(subspace_dims, tuple) else (subspace_dims,)
     if method in VECTOR_METHODS:
         if len(sub) != 1:
-            raise ValueError(
-                f"vector methods take a single subspace dimension, got {subspace_dims}"
-            )
-        return sub[0], sub
+            raise ValueError(f"vector methods take a single subspace dimension, got {sub}")
+        (d,), size = sub, math.prod(dims)
+        if d > size:  # d >= 1 by the config's count rule; the text is the solver's
+            raise ValueError(f"subspace dimension {d} out of range 1..{size}")
+        return d, [(size, d)]
     if len(sub) != len(dims):
-        raise ValueError(
-            f"need one subspace dimension per mode: got {sub} for dims {dims}"
-        )
+        raise ValueError(f"need one subspace dimension per mode: got {sub} for dims {dims}")
     for k, (d, full) in enumerate(zip(sub, dims)):
         if d > full:  # d >= 1 by the config's dims rule
-            raise ValueError(
-                f"subspace dimension {d} for mode {k} outside 1..{full}"
-            )
-    return sub, sub
+            raise ValueError(f"subspace dimension {d} for mode {k} outside 1..{full}")
+    return sub, list(zip(dims, sub))
 
 
-def _sweep(layouts, ws, sub_dims, ridge: float) -> float:
+def _sweep(layouts, ws, ridge: float) -> float:
     """One Gauss-Seidel sweep over the numerator's and the denominator's
-    per-mode layouts: solve each mode's pencil in turn, every other mode
-    projected with its latest matrix, updating `ws` in place. Each solve
-    gets the lower-triangle scatters, the part that LAPACK reads, as its
-    own scratch: no n x n copy is made around the solve.
+    per-mode layouts: solve each mode's pencil in turn, for as many
+    directions as `ws[k]` has columns and every other mode projected with
+    its latest matrix, into `ws[k]`. Each solve gets the lower-triangle
+    scatters, the part that LAPACK reads, as its own scratch.
 
     Returns the criterion at the new `ws`, taken from the unfoldings of
     the last solve (:func:`_ratio`): no mode changes after it.
     """
-    for k, d in enumerate(sub_dims):
+    for k in range(len(ws)):
         hs = [_project_layout(per_mode[k], ws, k) for per_mode in layouts]
         pair = ScatterPair(*map(_lower_gram, hs))
-        ws[k] = solve_ratio_trace(pair, d, ridge, overwrite=True).vectors
+        ws[k] = solve_ratio_trace(pair, ws[k].shape[1], ridge, overwrite=True).vectors
     return _ratio(hs, ws[-1])
 
 
-def _alternate(layouts, ws, sub_dims, config):
-    """Sweeps until the summed projector distance between consecutive
-    sweeps drops to `eps`; returns the objective and distance traces and
-    whether that happened within `max_iter` sweeps. One sweep solves a
-    one-mode criterion jointly, so it is reported as one converged sweep,
-    without the projector check."""
-    if len(ws) == 1:
-        return [_sweep(layouts, ws, sub_dims, config.reg_lambda)], [0.0], True
+def _alternate(layouts, ws, config):
+    """Sweeps of a criterion of two or more modes until the summed
+    projector distance between consecutive sweeps drops to `eps`; returns
+    the objective and distance traces and whether that happened within
+    `max_iter` sweeps."""
     # the all-ones init is rank one, so the first sweep's distance uses
     # the truncated column-space projector rather than the strict form
     prev = [_subspace_projector(w) for w in ws]
     objective_trace: list[float] = []
     convergence_trace: list[float] = []
     for sweep in range(1, config.max_iter + 1):
-        objective_trace.append(_sweep(layouts, ws, sub_dims, config.reg_lambda))
+        objective_trace.append(_sweep(layouts, ws, config.reg_lambda))
         current = [_subspace_projector(w) for w in ws]
         delta = _projector_distance(prev, current)
         convergence_trace.append(delta)
@@ -507,16 +509,17 @@ def _fit(
     class (csda/mcsda need one; lda/mda train the binary positive-vs-rest
     problem with one and the multi-class criterion without).
 
-    Builds the criterion's two stacks once (:func:`_criterion`) and lays
-    each out once per mode, then runs Gauss-Seidel sweeps of per-mode
-    eigensolves over the layouts (:func:`_alternate`). A vector method is
-    the one-mode case: its stacks are flattened, so one sweep solves the
-    pencil jointly.
+    Takes every projection's shape from the one shape rule
+    (:func:`_projection_shapes`), builds the criterion's two stacks once
+    (:func:`_criterion`) and lays each out once per mode. Two or more
+    modes run Gauss-Seidel sweeps of per-mode eigensolves (:func:`_alternate`).
+    The one one-mode branch (vector methods, whose stacks are flattened,
+    and one-mode mda/mcsda) solves the joint pencil once, as one converged
+    sweep: through the C columns of lda/mda's numerator when d <= C, else
+    by one :func:`_sweep`.
     """
     start = time.perf_counter()
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    subspace, sub_dims = _subspace_dims(method, config.subspace_dims, data.dims)
+    subspace, shapes = _projection_shapes(method, config.subspace_dims, data.dims)
     reference_mean, class_means, num, den = _criterion(data, method, positive)
     if class_means is not None:
         n_classes = len(class_means)
@@ -529,17 +532,20 @@ def _fit(
                 f"{n_classes - 1}"
             )
     ones = config.init == "ones"
-    ws = [np.ones((i, j)) if ones else np.eye(i, j) for i, j in zip(num.shape[1:], sub_dims)]
+    ws = [np.ones(shape) if ones else np.eye(*shape) for shape in shapes]
     layouts = [[_mode_layout(s, k) for k in range(len(ws))] for s in (num, den)]
     del num, den  # free the stacks: the sweeps read only the layouts
-    if class_means is not None and len(ws) == 1 and sub_dims[0] <= len(class_means):
-        # lda, and mda on one-mode data (the same criterion): one solve
-        # through the C columns of the between-class numerator layout
-        hs = [layout for (layout,) in layouts]
-        ws[0] = _solve_factor(hs[0], _lower_gram(hs[1]), sub_dims[0], config.reg_lambda).vectors
-        objective_trace, convergence_trace, converged = [_ratio(hs, ws[0])], [0.0], True
+    if len(ws) > 1:
+        objective_trace, convergence_trace, converged = _alternate(layouts, ws, config)
     else:
-        objective_trace, convergence_trace, converged = _alternate(layouts, ws, sub_dims, config)
+        d = ws[0].shape[1]
+        if class_means is not None and d <= len(class_means):
+            hs = [layout for (layout,) in layouts]
+            ws[0] = _solve_factor(hs[0], _lower_gram(hs[1]), d, config.reg_lambda).vectors
+            objective = _ratio(hs, ws[0])
+        else:
+            objective = _sweep(layouts, ws, config.reg_lambda)
+        objective_trace, convergence_trace, converged = [objective], [0.0], True
     if not converged:
         logger.warning(
             "%s fit for positive class %s did not converge: %d sweeps "
@@ -552,7 +558,7 @@ def _fit(
         iterations_run=len(objective_trace),
         converged=converged,
         wall_time_seconds=time.perf_counter() - start,
-        parameter_count=parameter_count(method, data.dims, subspace),
+        parameter_count=sum(rows * cols for rows, cols in shapes),
     )
     return DiscriminantModel(
         method=method,
@@ -560,7 +566,7 @@ def _fit(
         input_dims=data.dims,
         subspace_dims=subspace,
         reference_mean=reference_mean,
-        positive_class=positive,
+        positive_class=None if positive is None else int(positive),
         config=config,
         fit_report=report,
         class_means=class_means,
@@ -706,15 +712,12 @@ def similarity_score(model: DiscriminantModel, sample) -> float:
 
 
 def parameter_count(method: str, input_dims, subspace_dims) -> int:
-    """Stored projection parameters: sum of I_k * I'_k per mode for
-    tensor methods, whose subspace dims follow the fit's rule, and
-    prod(I_k) * prod(I'_k) for vector methods; `subspace_dims` are checked
-    as :class:`TrainConfig` checks them, `input_dims` by the dims rule."""
+    """Stored projection parameters: the summed sizes of the matrices of
+    the fit's shape rule; a vector method takes d = prod(I'_k) of per-mode
+    dims. `subspace_dims` are checked as :class:`TrainConfig` checks them,
+    `input_dims` by the dims rule."""
     dims = _check_dims("input_dims", input_dims)
     sub = TrainConfig(subspace_dims).subspace_dims
-    if method in TENSOR_METHODS:
-        _, sub = _subspace_dims(method, sub, dims)
-        return sum(i * j for i, j in zip(dims, sub))
-    if method in VECTOR_METHODS:
-        return math.prod(dims) * (math.prod(sub) if isinstance(sub, tuple) else sub)
-    raise ValueError(f"unknown method {method!r}")
+    if method in VECTOR_METHODS and isinstance(sub, tuple):
+        sub = math.prod(sub)
+    return sum(rows * cols for rows, cols in _projection_shapes(method, sub, dims)[1])

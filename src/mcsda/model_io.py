@@ -20,7 +20,6 @@ one unit, over an earlier model or set (``MODEL_OUTPUTS``) only if forced.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -39,11 +38,10 @@ from .datasets import (
 )
 from .discriminant import (
     METHODS,
-    VECTOR_METHODS,
     DiscriminantModel,
     FitReport,
     TrainConfig,
-    _subspace_dims,
+    _projection_shapes,
 )
 
 __all__ = ["save_model", "load_model"]
@@ -112,9 +110,10 @@ def _read_finite(root: Path, entry: dict, shape) -> np.ndarray:
 def load_model(path) -> DiscriminantModel:
     """Load a model directory written by :func:`save_model`. A matrix
     file holding NaN or inf is a format error, and so is a matrix whose
-    shape does not fit the method, `input_dims` and `subspace_dims`: one
-    (prod(input_dims), d) matrix for a vector method, one (I_k, d_k) per
-    mode for a tensor method, and means of shape `input_dims`."""
+    shape is not the one the fit's shape rule gives for the method,
+    `input_dims` and `subspace_dims` (one (prod(input_dims), d) matrix,
+    d <= prod(input_dims), for a vector method, one (I_k, d_k) per mode
+    for a tensor method), and means not of shape `input_dims`."""
     root = Path(path)
     manifest_path = root / MODEL_NAME
     doc = _read_json(manifest_path, MODEL_VERSION)
@@ -132,9 +131,7 @@ def load_model(path) -> DiscriminantModel:
         input_dims = _check_dims("input_dims", doc["input_dims"])
         shapes = [(_check_count("rows", e["rows"]), _check_count("cols", e["cols"]))
                   for e in doc["projections"]]
-        subspace, sub = _subspace_dims(method, config.subspace_dims, input_dims)
-        vector = method in VECTOR_METHODS
-        expected = [(math.prod(input_dims), sub[0])] if vector else list(zip(input_dims, sub))
+        subspace, expected = _projection_shapes(method, config.subspace_dims, input_dims)
         means = [doc[key] for key in ("reference_mean", "class_means") if doc.get(key)]
         if shapes != expected or any(_check_dims("dims", m["dims"]) != input_dims for m in means):
             raise DatasetFormatError(

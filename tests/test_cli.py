@@ -897,6 +897,7 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
         lambda doc: doc["fit_report"].update(wall_time_seconds="slow"),
         lambda doc: doc["fit_report"].update(wall_time_seconds=-3.0),
         lambda doc: doc["fit_report"].update(wall_time_seconds=math.nan),
+        lambda doc: (doc.update(subspace_dims=31), doc["projections"][0].update(cols=31)),
     ],
     ids=["class_means_count", "projection_rows", "nan_lambda", "fractional_max_iter",
          "fractional_subspace_dims", "fractional_positive_class", "bool_positive_class",
@@ -907,7 +908,7 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
          "fractional_report_parameter_count", "parameter_count_not_the_report_s",
          "float_parameter_count", "float_rows", "float_cols", "float_mean_dims",
          "float_class_means_dims", "bool_lambda", "bool_eps", "string_wall_time",
-         "negative_wall_time", "nan_wall_time"],
+         "negative_wall_time", "nan_wall_time", "more_directions_than_sample_values"],
 )
 def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
     data = make_synth(tmp_path)

@@ -629,6 +629,17 @@ def test_parameter_count_through_fits(rng):
     assert ten.fit_report.parameter_count == 60
     vec = fit_csda(ds, 1, TrainConfig(subspace_dims=1))
     assert vec.fit_report.parameter_count == 900
+    # every fit counts the sizes of the matrices it stores, one-mode mda too
+    ds = separable(rng, dims=(5, 4), n_classes=3, per_class=8)
+    flat = separable(rng, dims=(6,), n_classes=3, per_class=8)
+    for model in (
+        fit_lda(ds, TrainConfig(subspace_dims=2)),
+        fit_csda(ds, 1, TrainConfig(subspace_dims=3)),
+        fit_mda(ds, TrainConfig(subspace_dims=(2, 3), max_iter=3)),
+        fit_mcsda(ds, 1, TrainConfig(subspace_dims=(3, 2), max_iter=3)),
+        fit_mda(flat, TrainConfig(subspace_dims=(4,))),
+    ):
+        assert model.fit_report.parameter_count == sum(w.size for w in model.projections)
 
 
 def test_parameter_count_validation():
@@ -647,6 +658,9 @@ def test_parameter_count_validation():
         parameter_count("mcsda", (4.9, 3), (2, 2))
     with pytest.raises(ValueError, match="^subspace_dims must be an integer, got True$"):
         parameter_count("csda", (4, 3), True)
+    # a vector method's one matrix has at most prod(input_dims) columns, as in a fit
+    with pytest.raises(ValueError, match=r"^subspace dimension 13 out of range 1\.\.12$"):
+        parameter_count("csda", (4, 3), 13)
 
 
 # ---------------------------------------------------------------------------

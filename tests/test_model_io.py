@@ -100,6 +100,22 @@ def test_vector_subspace_dims_list_loads_as_the_fit_s_scalar(rng, tmp_path):
     assert json.loads((tmp_path / "b" / "model.json").read_text())["subspace_dims"] == 2
 
 
+def test_vector_model_with_more_directions_than_sample_values_is_refused(rng, tmp_path):
+    # 31 directions on 30-value samples, in a model.json and a W1.bin that
+    # agree with each other: the fit's shape rule allows at most 30
+    ds = random_dataset(rng, dims=(6, 5), n_classes=3, per_class=8)
+    save_model(fit_csda(ds, 1, TrainConfig(subspace_dims=2)), tmp_path / "m")
+    manifest = tmp_path / "m" / "model.json"
+    doc = json.loads(manifest.read_text())
+    doc["subspace_dims"] = 31
+    doc["projections"][0]["cols"] = 31
+    manifest.write_text(json.dumps(doc))
+    np.ones((30, 31)).astype("<f8").tofile(tmp_path / "m" / "W1.bin")
+    text = r"model\.json: subspace dimension 31 out of range 1\.\.30$"
+    with pytest.raises(DatasetFormatError, match=text):
+        load_model(tmp_path / "m")
+
+
 def test_one_positive_sample_round_trips_an_infinite_objective(rng, tmp_path):
     # one positive sample leaves the in-class scatter zero, so every sweep's
     # objective is inf; model.json spells it Infinity, and it loads back

@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,11 +15,14 @@ from mcsda import (
     DiscriminantModel,
     FitReport,
     LabeledDataset,
+    SynthSpec,
     TrainConfig,
+    fit_class_specific,
     load_dataset,
     load_model,
     save_dataset,
     save_model,
+    synth_generate,
 )
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e300, -1e300, 1.0]
@@ -88,3 +92,41 @@ def test_model_roundtrip_is_bit_exact(model):
         assert same_bits(got, want)
     assert same_bits(back.reference_mean, model.reference_mean)
     assert same_bits(back.class_means, model.class_means)
+
+
+# numpy scalars, as np.unique(labels) or array arithmetic yield them, are
+# accepted by the rules; the records keep the plain int or float, which
+# JSON can write
+SMALL = synth_generate(SynthSpec((4, 3), 3, 5, seed=2))
+
+
+def fit_small(positive=1, **config):
+    return fit_class_specific(SMALL, "csda", positive, TrainConfig(2, **config))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fit_small(positive=np.int64(2)),
+        lambda: fit_small(max_iter=np.int64(3)),
+        lambda: fit_small(reg_lambda=np.float32(0.01)),
+        lambda: LabeledDataset(SMALL.samples, SMALL.labels, n_classes=np.int64(3)),
+        lambda: synth_generate(SynthSpec((4, 3), np.int64(2), 5)),
+    ],
+    ids=["model_positive_class", "model_max_iter", "model_reg_lambda",
+         "dataset_n_classes", "synth_n_classes"],
+)
+def test_numpy_scalar_settings_save_and_reload(tmp_path, make):
+    record = make()
+    if isinstance(record, LabeledDataset):
+        save_dataset(record, tmp_path / "out")
+        back = load_dataset(tmp_path / "out")
+        assert back.n_classes == record.n_classes and type(record.n_classes) is int
+        assert same_bits(back.samples, record.samples)
+    else:
+        save_model(record, tmp_path / "out")
+        back = load_model(tmp_path / "out")
+        assert back.config == record.config and back.positive_class == record.positive_class
+        assert type(record.positive_class) is int and type(record.config.max_iter) is int
+        assert type(record.config.reg_lambda) is float
+        assert same_bits(back.projections[0], record.projections[0])
