@@ -82,7 +82,7 @@ def main():
     )
     parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter)
     parser.add_argument("--eps", type=float, default=TrainConfig.eps)
-    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--report", help="optional JSON output path")
     args = parser.parse_args()
 

@@ -10,8 +10,8 @@ On disk a dataset is a directory holding three files:
 
 Every ``.bin`` array and JSON manifest, of datasets and models alike,
 goes through the one codec here: ``_write_array``, ``_read_array``
-(size-checked before reading), ``_read_json`` (the version must be the
-integer 1) and ``_manifest_entries`` (an entry that is missing or that a
+(size-checked before reading), ``_read_json`` (the version must be a
+listed integer) and ``_manifest_entries`` (an entry that is missing or that a
 rule refuses is a format error naming the manifest). The rules cast
 nothing: ``_check_count``, ``_check_real``, ``_check_dims`` and
 ``_check_file_name`` (a plain name in the directory). A stack such as
@@ -222,8 +222,8 @@ def _read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     return flat.reshape(shape, order="F")
 
 
-def _read_json(path: Path, version: int) -> dict:
-    """Load the JSON manifest at `path` and check its format version."""
+def _read_json(path: Path, *versions: int) -> dict:
+    """Load the JSON manifest at `path`, whose version must be one of `versions`."""
     if not path.exists():
         raise FileNotFoundError(f"{path.parent}: missing {path.name}")
     try:
@@ -231,9 +231,9 @@ def _read_json(path: Path, version: int) -> dict:
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
     found = doc.get("version") if isinstance(doc, dict) else None
-    if type(found) is not int or found != version:  # 1.0 and true are not 1
+    if type(found) is not int or found not in versions:  # 1.0 and true are not 1
         raise DatasetFormatError(
-            f"{path}: unsupported version {found!r}, expected {version}"
+            f"{path}: unsupported version {found!r}, expected {' or '.join(map(str, versions))}"
         )
     return doc
 

@@ -41,7 +41,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -106,7 +105,7 @@ class TrainConfig:
     `subspace_dims` is an integer for vector methods and a per-mode tuple
     for tensor methods; it and `max_iter` hold integers >= 1. `reg_lambda`
     is the denominator ridge of every eigensolve; `max_iter` and `eps`
-    bound the sweeps. `seed` is a class constant: no fit reads a seed.
+    bound the sweeps. No fit reads a seed, so the config holds none.
     """
 
     subspace_dims: int | tuple[int, ...]
@@ -114,7 +113,6 @@ class TrainConfig:
     max_iter: int = 20
     eps: float = 1e-5
     init: str = "ones"
-    seed: ClassVar[int] = 0
 
     def __post_init__(self):
         one = not isinstance(self.subspace_dims, (tuple, list))

@@ -2,13 +2,17 @@
 
 A saved model is a directory holding ``model.json`` and one
 ``W<k>.bin`` per projection matrix (k is 1-based), each stored
-column-major as little-endian float64 with its shape recorded in the
-manifest. Class-specific models additionally store the reference mean as
-``mean.bin``; multi-class lda/mda store all class means as
-``class_means.bin``, one stack with the class as its last axis. Every
-file goes through the codec of :mod:`mcsda.datasets`, so a missing or
-truncated matrix file and a malformed ``model.json`` fail the same way
-a bad dataset does. Round trips are bit exact.
+column-major as little-endian float64. Class-specific models additionally
+store the reference mean as ``mean.bin``; multi-class lda/mda store all
+class means as ``class_means.bin``, one stack with the class as its last
+axis. Every file goes through the codec of :mod:`mcsda.datasets`, so a
+missing or truncated matrix file and a malformed ``model.json`` fail the
+same way a bad dataset does. Round trips are bit exact.
+
+Format v2 stores only what the fit's shape rule cannot derive: no matrix
+shapes, means' dims, parameter count or seed. ``load_model`` takes each
+shape and the fit report's ``parameter_count`` from the rule, and reads
+v1 files on the same path, ignoring the derived entries they hold.
 
 ``_write_model`` puts one model's files into a directory. ``save_model``
 stages one model, and ``mcsda train`` one model or a one-vs-rest set of
@@ -46,7 +50,7 @@ from .discriminant import (
 
 __all__ = ["save_model", "load_model"]
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 MODEL_NAME = "model.json"
 MODEL_OUTPUTS = (MODEL_NAME, f"class_*/{MODEL_NAME}")
 
@@ -64,6 +68,8 @@ def _write_model(model: DiscriminantModel, root: Path) -> None:
     root.mkdir(exist_ok=True)
     files = {f"W{k}.bin": w for k, w in enumerate(model.projections, start=1)}
     sub = model.subspace_dims
+    report = asdict(model.fit_report)
+    del report["parameter_count"]  # the shape rule's: load_model derives it
     doc = {
         "version": MODEL_VERSION,
         "method": model.method,
@@ -74,25 +80,17 @@ def _write_model(model: DiscriminantModel, root: Path) -> None:
         "max_iter": model.config.max_iter,
         "eps": model.config.eps,
         "init": model.config.init,
-        "seed": model.config.seed,
-        "parameter_count": model.fit_report.parameter_count,
-        "projections": [
-            {"file": name, "rows": w.shape[0], "cols": w.shape[1]} for name, w in files.items()
-        ],
+        "projections": [{"file": name} for name in files],
         "reference_mean": None,
         "class_means": None,
-        "fit_report": asdict(model.fit_report),
+        "fit_report": report,
     }
     if model.reference_mean is not None:
         files["mean.bin"] = model.reference_mean
-        doc["reference_mean"] = {"file": "mean.bin", "dims": list(model.input_dims)}
+        doc["reference_mean"] = {"file": "mean.bin"}
     if model.class_means is not None:
         files["class_means.bin"] = np.moveaxis(model.class_means, 0, -1)
-        doc["class_means"] = {
-            "file": "class_means.bin",
-            "count": len(model.class_means),
-            "dims": list(model.input_dims),
-        }
+        doc["class_means"] = {"file": "class_means.bin", "count": len(model.class_means)}
     for name, array in files.items():
         _write_array(root / name, array)
     (root / MODEL_NAME).write_text(json.dumps(doc, indent=2) + "\n")
@@ -108,15 +106,14 @@ def _read_finite(root: Path, entry: dict, shape) -> np.ndarray:
 
 
 def load_model(path) -> DiscriminantModel:
-    """Load a model directory written by :func:`save_model`. A matrix
-    file holding NaN or inf is a format error, and so is a matrix whose
-    shape is not the one the fit's shape rule gives for the method,
-    `input_dims` and `subspace_dims` (one (prod(input_dims), d) matrix,
-    d <= prod(input_dims), for a vector method, one (I_k, d_k) per mode
-    for a tensor method), and means not of shape `input_dims`."""
+    """Load a model directory written by :func:`save_model`, format v1 or
+    v2. Each matrix must have the shape the fit's shape rule gives for the
+    method, `input_dims` and `subspace_dims`, and each mean that of
+    `input_dims`: a file of another size, or holding NaN or inf, is a format
+    error naming it. The fit report's `parameter_count` is the rule's too."""
     root = Path(path)
     manifest_path = root / MODEL_NAME
-    doc = _read_json(manifest_path, MODEL_VERSION)
+    doc = _read_json(manifest_path, 1, MODEL_VERSION)
     method = doc.get("method")
     if method not in METHODS:
         raise DatasetFormatError(f"{manifest_path}: unknown method {method!r}")
@@ -129,18 +126,12 @@ def load_model(path) -> DiscriminantModel:
             init=doc["init"],
         )
         input_dims = _check_dims("input_dims", doc["input_dims"])
-        shapes = [(_check_count("rows", e["rows"]), _check_count("cols", e["cols"]))
-                  for e in doc["projections"]]
-        subspace, expected = _projection_shapes(method, config.subspace_dims, input_dims)
-        means = [doc[key] for key in ("reference_mean", "class_means") if doc.get(key)]
-        if shapes != expected or any(_check_dims("dims", m["dims"]) != input_dims for m in means):
-            raise DatasetFormatError(
-                f"{manifest_path}: matrix shapes do not fit a {method} model of input "
-                f"dims {input_dims} and subspace dims {config.subspace_dims}: projections "
-                f"{shapes} (expected {expected}), means {[m['dims'] for m in means]}"
-            )
+        subspace, shapes = _projection_shapes(method, config.subspace_dims, input_dims)
+        if len(doc["projections"]) != len(shapes):
+            raise ValueError(f"a {method} model of input dims {input_dims} has {len(shapes)} "
+                             f"projections, not {len(doc['projections'])}")
         projections = [
-            _read_finite(root, e, shape) for e, shape in zip(doc["projections"], expected)
+            _read_finite(root, e, shape) for e, shape in zip(doc["projections"], shapes)
         ]
         reference_mean = None
         if doc.get("reference_mean") is not None:
@@ -151,10 +142,8 @@ def load_model(path) -> DiscriminantModel:
             count = _check_count("count", entry["count"])
             stacked = _read_finite(root, entry, input_dims + (count,))
             class_means = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
-        report = FitReport(**doc["fit_report"])
-        stored = _check_count("parameter_count", doc["parameter_count"], minimum=0)
-        if stored != report.parameter_count:
-            raise ValueError(f"parameter_count {stored} differs from the fit report's")
+        size = sum(rows * cols for rows, cols in shapes)  # not a count a v1 file stores
+        report = FitReport(**{**doc["fit_report"], "parameter_count": size})
         positive = doc.get("positive_class")
         positive = None if positive is None else _check_count("positive_class", positive)
     return DiscriminantModel(

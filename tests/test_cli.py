@@ -867,7 +867,6 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
     "damage",
     [
         lambda doc: doc["class_means"].update(count="many"),
-        lambda doc: doc["projections"][0].update(rows="x"),
         lambda doc: doc.update({"lambda": math.nan}),
         lambda doc: doc.update(max_iter=2.5),
         lambda doc: doc.update(subspace_dims=1.5),
@@ -885,29 +884,20 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
         lambda doc: doc["fit_report"].update(objective_trace="abc"),
         lambda doc: doc["fit_report"].update(objective_trace=[True]),
         lambda doc: doc["fit_report"].update(convergence_trace=[0.0, 0.0]),
-        lambda doc: doc["fit_report"].update(parameter_count=2.5),
-        lambda doc: doc.update(parameter_count=7),
-        lambda doc: doc.update(parameter_count=30.0),
-        lambda doc: doc["projections"][0].update(rows=30.0),
-        lambda doc: doc["projections"][0].update(cols=1.0),
-        lambda doc: doc["reference_mean"].update(dims=[6.0, 5]),
-        lambda doc: doc["class_means"].update(dims=[6, 5.0]),
         lambda doc: doc.update({"lambda": True}),
         lambda doc: doc.update(eps=True),
         lambda doc: doc["fit_report"].update(wall_time_seconds="slow"),
         lambda doc: doc["fit_report"].update(wall_time_seconds=-3.0),
         lambda doc: doc["fit_report"].update(wall_time_seconds=math.nan),
-        lambda doc: (doc.update(subspace_dims=31), doc["projections"][0].update(cols=31)),
+        lambda doc: doc.update(subspace_dims=31),
     ],
-    ids=["class_means_count", "projection_rows", "nan_lambda", "fractional_max_iter",
+    ids=["class_means_count", "nan_lambda", "fractional_max_iter",
          "fractional_subspace_dims", "fractional_positive_class", "bool_positive_class",
          "negative_positive_class", "string_positive_class", "fractional_input_dims",
          "string_input_dims", "mean_file_outside_model", "bool_version",
          "string_iterations_run", "iterations_run_not_trace_length", "string_converged",
          "string_objective_trace", "bool_objective", "convergence_trace_too_long",
-         "fractional_report_parameter_count", "parameter_count_not_the_report_s",
-         "float_parameter_count", "float_rows", "float_cols", "float_mean_dims",
-         "float_class_means_dims", "bool_lambda", "bool_eps", "string_wall_time",
+         "bool_lambda", "bool_eps", "string_wall_time",
          "negative_wall_time", "nan_wall_time", "more_directions_than_sample_values"],
 )
 def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
@@ -1140,39 +1130,31 @@ def test_synth_rejects_nonfinite_settings(tmp_path, capsys, flags, field):
 
 
 # ---------------------------------------------------------------------------
-# load_model checks every matrix shape against the method and the dims
+# load_model checks every matrix file against the shape rule's shape for
+# the method and the dims, and the projection count against the rule's
 
 
-def set_projection(model_dir, index, rows, cols):
-    """Make projection `index` a rows x cols matrix, in model.json and in
-    its file, so that only the shape is wrong."""
-    doc = json.loads((model_dir / "model.json").read_text())
-    entry = doc["projections"][index]
-    entry.update(rows=rows, cols=cols)
-    (model_dir / "model.json").write_text(json.dumps(doc))
-    np.ones(rows * cols).tofile(model_dir / entry["file"])
+def resize(model_dir, name, size):
+    """Make matrix file `name` hold `size` values: only its size is wrong."""
+    np.ones(size).tofile(model_dir / name)
 
 
 def drop_second_projection(model_dir):
     damage_json(model_dir / "model.json", lambda doc: doc["projections"].pop())
 
 
-def transpose_mean_dims(model_dir):
-    damage_json(model_dir / "model.json", lambda doc: doc["reference_mean"]["dims"].reverse())
-
-
 @pytest.mark.parametrize(
-    "method,dims,damage",
+    "method,dims,damage,named",
     [
-        ("mcsda", "2x1", lambda d: set_projection(d, 0, 3, 2)),
-        ("mcsda", "2x1", drop_second_projection),
-        ("mcsda", "2x1", transpose_mean_dims),
-        ("csda", "2", lambda d: set_projection(d, 0, 6, 2)),
-        ("csda", "2", lambda d: set_projection(d, 0, 12, 3)),
+        ("mcsda", "2x1", lambda d: resize(d, "W1.bin", 3 * 2), "W1.bin"),
+        ("mcsda", "2x1", drop_second_projection, "model.json"),
+        ("mcsda", "2x1", lambda d: resize(d, "mean.bin", 4 * 2), "mean.bin"),
+        ("csda", "2", lambda d: resize(d, "W1.bin", 6 * 2), "W1.bin"),
+        ("csda", "2", lambda d: resize(d, "W1.bin", 12 * 3), "W1.bin"),
     ],
-    ids=["tensor_mode_rows", "tensor_mode_count", "mean_dims", "vector_rows", "vector_cols"],
+    ids=["tensor_mode_rows", "tensor_mode_count", "mean_size", "vector_rows", "vector_cols"],
 )
-def test_eval_misshapen_model_is_format_error(tmp_path, capsys, method, dims, damage):
+def test_eval_misshapen_model_is_format_error(tmp_path, capsys, method, dims, damage, named):
     data = make_synth(tmp_path, dims="4x3")
     models = train_ovr(tmp_path, data, method=method, dims=dims)
     damage(models / "class_2")
@@ -1182,7 +1164,7 @@ def test_eval_misshapen_model_is_format_error(tmp_path, capsys, method, dims, da
         "--task", "verify", "--report", str(tmp_path / "r.json"),
     )
     assert code == 1
-    assert_one_error_line_naming(capsys, "model.json")
+    assert_one_error_line_naming(capsys, str(models / "class_2" / named))
 
 
 # ---------------------------------------------------------------------------
@@ -1352,9 +1334,6 @@ def test_bench_refuses_a_report_directory_before_fitting(tmp_path, monkeypatch, 
 
 def test_train_has_no_seed_flag(tmp_path):
     data = make_synth(tmp_path)
-    out = train_ovr(tmp_path, data, method="csda", dims="2")
-    assert load_model(out / "class_1").config.seed == TrainConfig.seed == 0
-    assert json.loads((out / "class_1" / "model.json").read_text())["seed"] == 0
     with pytest.raises(SystemExit) as err:
         run(
             "train", "--data", str(data), "--method", "csda", "--dims", "2",

@@ -1,6 +1,8 @@
 """Model directory round trips and format diagnostics."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +110,6 @@ def test_vector_model_with_more_directions_than_sample_values_is_refused(rng, tm
     manifest = tmp_path / "m" / "model.json"
     doc = json.loads(manifest.read_text())
     doc["subspace_dims"] = 31
-    doc["projections"][0]["cols"] = 31
     manifest.write_text(json.dumps(doc))
     np.ones((30, 31)).astype("<f8").tofile(tmp_path / "m" / "W1.bin")
     text = r"model\.json: subspace dimension 31 out of range 1\.\.30$"
@@ -140,7 +141,6 @@ def test_projection_files_are_fortran_float64(rng, tmp_path):
     doc = json.loads((tmp_path / "m" / "model.json").read_text())
     assert [e["file"] for e in doc["projections"]] == ["W1.bin", "W2.bin"]
     for entry, w in zip(doc["projections"], model.projections):
-        assert (entry["rows"], entry["cols"]) == w.shape
         raw = (tmp_path / "m" / entry["file"]).read_bytes()
         assert raw == w.ravel(order="F").astype("<f8").tobytes()
     assert (tmp_path / "m" / "mean.bin").read_bytes() == model.reference_mean.ravel(
@@ -313,9 +313,9 @@ def test_interrupted_force_overwrite_keeps_old_model(rng, tmp_path, monkeypatch)
     [
         lambda doc: doc.pop("input_dims"),
         lambda doc: doc["fit_report"].pop("converged"),
-        lambda doc: doc["projections"][0].pop("rows"),
+        lambda doc: doc["projections"][0].pop("file"),
     ],
-    ids=["input_dims", "fit_report_field", "projection_rows"],
+    ids=["input_dims", "fit_report_field", "projection_file"],
 )
 def test_malformed_manifest_names_the_file(rng, tmp_path, damage):
     model = fitted(rng, "mcsda")
@@ -340,3 +340,103 @@ def test_nonfinite_matrix_file_names_the_file(rng, tmp_path, name, value):
     values.tofile(path)
     with pytest.raises(DatasetFormatError, match=rf"{name}: holds a NaN or infinite value"):
         load_model(tmp_path / "m")
+
+
+# ---------------------------------------------------------------------------
+# format v2 stores only what the shape rule cannot derive; v1 files load,
+# their derived entries ignored
+
+V1 = Path(__file__).parent / "data" / "v1"  # written by the last v1 writer
+DERIVED = {"seed", "parameter_count"}
+
+
+def save_v1(model, path):
+    """Save `model`, then rewrite its model.json as format v1 wrote it:
+    v2's entries plus the derived ones."""
+    save_model(model, path)
+    manifest = path / "model.json"
+    doc = json.loads(manifest.read_text())
+    count = sum(w.size for w in model.projections)
+    doc.update(version=1, seed=0, parameter_count=count)
+    doc["fit_report"]["parameter_count"] = count
+    for entry, w in zip(doc["projections"], model.projections):
+        entry.update(rows=w.shape[0], cols=w.shape[1])
+    for key in ("reference_mean", "class_means"):
+        if doc[key] is not None:
+            doc[key]["dims"] = list(model.input_dims)
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+@pytest.mark.parametrize("method", ["csda", "lda", "mcsda", "mda"])
+def test_model_json_stores_no_derived_entries(rng, tmp_path, method):
+    save_model(fitted(rng, method), tmp_path / "m")
+    doc = json.loads((tmp_path / "m" / "model.json").read_text())
+    assert doc["version"] == 2
+    assert not DERIVED & (set(doc) | set(doc["fit_report"]))
+    assert all(set(e) == {"file"} for e in doc["projections"])
+    assert doc["reference_mean"] in (None, {"file": "mean.bin"})
+    assert doc["class_means"] in (None, {"file": "class_means.bin", "count": 3})
+
+
+def test_reads_the_integer_versions_1_and_2_only(rng, tmp_path):
+    model = fitted(rng, "mcsda")
+    manifest = save_v1(model, tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    for version in (1, 2):
+        manifest.write_text(json.dumps({**doc, "version": version}))
+        assert_models_equal(load_model(tmp_path / "m"), model)
+    for version in (1.0, 2.0, True, 0, 3, "2"):
+        manifest.write_text(json.dumps({**doc, "version": version}))
+        with pytest.raises(DatasetFormatError, match=r"unsupported version .*, expected 1 or 2$"):
+            load_model(tmp_path / "m")
+
+
+def test_v1_parameter_count_is_the_shape_rule_s(rng, tmp_path):
+    # a csda model on 6x5 samples with d = 2 stores 60 values, whatever
+    # both of a v1 file's parameter_count entries say
+    ds = random_dataset(rng, dims=(6, 5), n_classes=3, per_class=8)
+    manifest = save_v1(fit_csda(ds, 1, TrainConfig(subspace_dims=2)), tmp_path / "m")
+    doc = json.loads(manifest.read_text())
+    doc["parameter_count"] = doc["fit_report"]["parameter_count"] = 7
+    manifest.write_text(json.dumps(doc))
+    assert load_model(tmp_path / "m").fit_report.parameter_count == 60
+
+
+@pytest.mark.parametrize("name,count", [("lda", 12), ("mcsda", 4 * 2 + 3 * 2)])
+def test_v1_fixture_loads_and_resaves_as_v2(tmp_path, name, count):
+    model = load_model(V1 / name)
+    assert model.fit_report.parameter_count == count
+    save_model(model, tmp_path / name)
+    doc = json.loads((tmp_path / name / "model.json").read_text())
+    assert doc["version"] == 2 and not DERIVED & set(doc)
+    bins = sorted(p.name for p in (V1 / name).glob("*.bin"))
+    assert bins == sorted(p.name for p in (tmp_path / name).glob("*.bin"))
+    for b in bins:
+        assert (tmp_path / name / b).read_bytes() == (V1 / name / b).read_bytes()
+    assert_models_equal(load_model(tmp_path / name), model)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda doc: doc["projections"][0].update(rows=30.0),
+        lambda doc: doc["projections"][0].update(cols=1.0),
+        lambda doc: doc["reference_mean"]["dims"].reverse(),
+        lambda doc: doc["class_means"]["dims"].reverse(),
+        lambda doc: doc["fit_report"].update(parameter_count=2.5),
+        lambda doc: doc.update(parameter_count=7),
+        lambda doc: doc.update(parameter_count=30.0),
+    ],
+    ids=["float_rows", "float_cols", "reversed_mean_dims", "reversed_class_means_dims",
+         "fractional_report_parameter_count", "parameter_count_not_the_report_s",
+         "float_parameter_count"],
+)
+def test_v1_derived_entries_are_ignored(tmp_path, damage):
+    # the wrapped lda fixture holds all three kinds of matrix file
+    shutil.copytree(V1 / "lda", tmp_path / "lda")
+    manifest = tmp_path / "lda" / "model.json"
+    doc = json.loads(manifest.read_text())
+    damage(doc)
+    manifest.write_text(json.dumps(doc))
+    assert_models_equal(load_model(tmp_path / "lda"), load_model(V1 / "lda"))
