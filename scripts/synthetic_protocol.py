@@ -4,32 +4,33 @@ For each train fraction, each repeat draws a fresh stratified split,
 trains one-vs-rest models per method, and scores the held-out half by
 mean average precision. The table reports mAP mean +/- std across
 repeats and the mean one-vs-rest training time normalized to the
-fastest method.
+fastest method. Dims, solver flags, scoring and the report follow
+`mcsda train` and `mcsda eval --task verify`; a fraction whose split
+leaves a class no held-out sample is refused before any fit.
 
 Example:
     python3 scripts/synthetic_protocol.py --repeats 3 --fractions 0.25,0.5
 """
 
 import argparse
-import json
 import math
+import sys
 import time
+
+import numpy as np
 
 from mcsda import (
     SynthSpec,
     TrainConfig,
     average_precision,
     fit_one_vs_rest,
-    mean_average_precision,
-    score_batch,
     stratified_split,
     summarize_folds,
     synth_generate,
+    verification_report,
 )
-
-
-def parse_dims(text):
-    return tuple(int(p) for p in text.split("x"))
+from mcsda.cli import _add_config_flags, _parse_dims, _write_report
+from mcsda.discriminant import _score_matrix
 
 
 def parse_fractions(text):
@@ -37,11 +38,12 @@ def parse_fractions(text):
 
 
 def evaluate(models, test):
-    aps = []
-    for model in models:
-        scores = score_batch(model, test.samples)
-        aps.append(average_precision(scores, test.labels == model.positive_class))
-    return mean_average_precision(aps)
+    """Held-out mAP of a one-vs-rest set, its models in class order."""
+    scores = _score_matrix(models, test.samples)  # one row per model
+    return verification_report({
+        m.positive_class: average_precision(row, test.labels == m.positive_class)
+        for m, row in zip(models, scores)
+    }).mean_ap
 
 
 def config_for(method, args):
@@ -63,12 +65,12 @@ def config_for(method, args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dims", type=parse_dims, default=(20, 15))
+    parser.add_argument("--dims", type=_parse_dims, default=(20, 15))
     parser.add_argument("--classes", type=int, default=5)
     parser.add_argument("--per-class", type=int, default=40)
     parser.add_argument("--mean-scale", type=float, default=10.0)
     parser.add_argument("--sigma", type=float, default=1.0)
-    parser.add_argument("--subspace", type=parse_dims, default=(7, 7))
+    parser.add_argument("--subspace", type=_parse_dims, default=(7, 7))
     parser.add_argument(
         "--methods", default="csda,mcsda,lda,mda",
         help="comma list from csda,mcsda,lda,mda",
@@ -77,11 +79,7 @@ def main():
         "--fractions", type=parse_fractions, default=(0.1, 0.2, 0.25, 0.35, 0.5)
     )
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--lambda", dest="reg_lambda", type=float, default=TrainConfig.reg_lambda
-    )
-    parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter)
-    parser.add_argument("--eps", type=float, default=TrainConfig.eps)
+    _add_config_flags(parser)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--report", help="optional JSON output path")
     args = parser.parse_args()
@@ -98,16 +96,31 @@ def main():
         )
     )
 
+    # every split is drawn, and checked, before any fit
+    sweep = []
+    for fraction in args.fractions:
+        splits = [
+            stratified_split(data, fraction, seed=args.seed + 100 * r)
+            for r in range(args.repeats)
+        ]
+        for _, test in splits:
+            held_out = np.bincount(test.labels, minlength=data.n_classes + 1)[1:]
+            if not held_out.all():
+                print(
+                    f"usage error: --fractions {fraction} leaves class "
+                    f"{np.argmin(held_out) + 1} no held-out sample",
+                    file=sys.stderr,
+                )
+                return 2
+        sweep.append((fraction, splits))
+
     rows = []
     for method in methods:
         cfg = config_for(method, args)
-        for fraction in args.fractions:
+        for fraction, splits in sweep:
             maps = []
             seconds = []
-            for r in range(args.repeats):
-                train, test = stratified_split(
-                    data, fraction, seed=args.seed + 100 * r
-                )
+            for train, test in splits:
                 start = time.perf_counter()
                 models = fit_one_vs_rest(train, method, cfg)
                 seconds.append(time.perf_counter() - start)
@@ -131,10 +144,9 @@ def main():
             f"{m['mean']:.4f} +/- {m['std']:.4f} {t:>9.3f} {t / fastest:>11.2f}"
         )
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump({"version": 1, "rows": rows}, fh, indent=2)
-            fh.write("\n")
+        _write_report(args.report, {"version": 1, "rows": rows})
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

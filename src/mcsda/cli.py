@@ -26,6 +26,7 @@ from .datasets import (
     SynthSpec,
     _check_count,
     _check_dims,
+    _read_manifest,
     _staged_directory,
     load_dataset,
     save_dataset,
@@ -34,10 +35,10 @@ from .datasets import (
 from .discriminant import (
     INIT_CHOICES,
     METHODS,
-    VECTOR_METHODS,
     TrainConfig,
     _CLASS_SPECIFIC,
     _fit,
+    _projection_shapes,
     _score_matrix,
     fit_mcsda,
     fit_csda,
@@ -58,22 +59,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"invalid dims {text!r}: expected integers >= 1 joined by 'x'"
         ) from None
-
-
-def _train_config(args, method: str) -> TrainConfig:
-    """The --dims flag is per mode, or one scalar for vector methods."""
-    vector = method in VECTOR_METHODS
-    if vector and len(args.dims) != 1:
-        raise ValueError(
-            f"{method} takes a scalar subspace dimension, got {'x'.join(map(str, args.dims))}"
-        )
-    return TrainConfig(
-        subspace_dims=args.dims[0] if vector else args.dims,
-        reg_lambda=args.reg_lambda,
-        max_iter=args.max_iter,
-        eps=args.eps,
-        init=args.init,
-    )
 
 
 def _report_path(text: str) -> str:
@@ -115,12 +100,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    """Fit and write the models and fit_report.json in one stage; entering it checks --out."""
+    """Check --dims against the dataset's manifest by the fit's shape rule
+    before data.bin is read, then fit and write the models and
+    fit_report.json in one stage; entering it checks --out."""
     method = args.method
     if method in _CLASS_SPECIFIC and args.positive_class is None and not args.one_vs_rest:
         raise ValueError(f"{method} is class-specific: pass --positive-class or --one-vs-rest")
+    config = TrainConfig(
+        subspace_dims=args.dims[0] if len(args.dims) == 1 else args.dims,
+        reg_lambda=args.reg_lambda,
+        max_iter=args.max_iter,
+        eps=args.eps,
+        init=args.init,
+    )
+    _projection_shapes(method, config.subspace_dims, _read_manifest(Path(args.data)).dims)
     data = load_dataset(args.data)
-    config = _train_config(args, method)
     with _staged_directory(Path(args.out), MODEL_OUTPUTS, "model", args.force) as stage:
         models = (
             fit_one_vs_rest(data, method, config) if args.one_vs_rest
@@ -251,13 +245,10 @@ def cmd_bench(args) -> int:
     _check_count("--repeats", args.repeats)
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, one sample per class, got {args.n}")
+    if args.n % 2:
+        raise ValueError(f"--n must be even, half of it per class, got {args.n}")
     dims = args.dims
     sub = args.subspace
-    if len(sub) != len(dims):
-        raise ValueError(
-            f"--subspace needs one entry per mode of --dims: got "
-            f"{'x'.join(map(str, sub))} for {'x'.join(map(str, dims))}"
-        )
     mcsda_parameters = parameter_count("mcsda", dims, sub)
     per_class = args.n // 2
     data = synth_generate(

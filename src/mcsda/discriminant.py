@@ -525,9 +525,10 @@ def _fit(
             raise ValueError(f"{method} needs at least two classes")
         # the between-class scatter has rank at most C - 1
         if method == "lda" and subspace > n_classes - 1:
+            problem = "" if positive is None else ", the cap of the positive-vs-rest problem"
             raise ValueError(
                 f"lda subspace dimension {subspace} exceeds n_classes - 1 = "
-                f"{n_classes - 1}"
+                f"{n_classes - 1}{problem}"
             )
     ones = config.init == "ones"
     ws = [np.ones(shape) if ones else np.eye(*shape) for shape in shapes]

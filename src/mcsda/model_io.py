@@ -40,13 +40,7 @@ from .datasets import (
     _staged_directory,
     _write_array,
 )
-from .discriminant import (
-    METHODS,
-    DiscriminantModel,
-    FitReport,
-    TrainConfig,
-    _projection_shapes,
-)
+from .discriminant import DiscriminantModel, FitReport, TrainConfig, _projection_shapes
 
 __all__ = ["save_model", "load_model"]
 
@@ -114,10 +108,8 @@ def load_model(path) -> DiscriminantModel:
     root = Path(path)
     manifest_path = root / MODEL_NAME
     doc = _read_json(manifest_path, 1, MODEL_VERSION)
-    method = doc.get("method")
-    if method not in METHODS:
-        raise DatasetFormatError(f"{manifest_path}: unknown method {method!r}")
     with _manifest_entries(manifest_path):
+        method = doc["method"]
         config = TrainConfig(
             subspace_dims=doc["subspace_dims"],
             reg_lambda=doc["lambda"],

@@ -138,7 +138,47 @@ def test_train_vector_method_rejects_tuple_dims(tmp_path, capsys):
         "--positive-class", "1", "--out", str(tmp_path / "m"),
     )
     assert code == 2
-    assert "scalar subspace dimension" in capsys.readouterr().err
+    assert "single subspace dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, dims, text",
+    [
+        ("csda", "7x7", "vector methods take a single subspace dimension"),
+        ("mcsda", "2", "need one subspace dimension per mode: got (2,) for dims (6, 5)"),
+        ("csda", "31", "subspace dimension 31 out of range 1..30"),
+    ],
+)
+def test_train_checks_dims_by_the_shape_rule_before_reading_data(tmp_path, monkeypatch, capsys,
+                                                                  method, dims, text):
+    data = make_synth(tmp_path)
+    capsys.readouterr()
+
+    def no_load(path):
+        raise AssertionError("train read data.bin before checking --dims")
+
+    monkeypatch.setattr("mcsda.cli.load_dataset", no_load)
+    code = run(
+        "train", "--data", str(data), "--method", method, "--dims", dims,
+        "--positive-class", "1", "--out", str(tmp_path / "m"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and text in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_train_wrapped_lda_cap_names_the_positive_vs_rest_problem(tmp_path, capsys):
+    data = make_synth(tmp_path)  # three classes
+    code = run(
+        "train", "--data", str(data), "--method", "lda", "--dims", "2",
+        "--one-vs-rest", "--out", str(tmp_path / "m"),
+    )
+    assert code == 2
+    assert (
+        "lda subspace dimension 2 exceeds n_classes - 1 = 1, the cap of the "
+        "positive-vs-rest problem" in capsys.readouterr().err
+    )
 
 
 def test_train_class_specific_needs_positive(tmp_path, capsys):
@@ -649,11 +689,15 @@ def test_bench_report_creates_parent_directories(tmp_path):
     assert [p.name for p in report_path.parent.iterdir()] == ["bench.json"]
 
 
-def test_bench_subspace_must_match_dims(capsys):
+def test_bench_subspace_must_match_dims(monkeypatch, capsys):
+    def no_synth(spec):
+        raise AssertionError("bench synthesized data before checking --subspace")
+
+    monkeypatch.setattr("mcsda.cli.synth_generate", no_synth)
     code = run("bench", "--dims", "8x6", "--subspace", "2", "--n", "12",
                "--repeats", "1")
     assert code == 2
-    assert "one entry per mode" in capsys.readouterr().err
+    assert "one subspace dimension per mode" in capsys.readouterr().err
 
 
 def test_bench_subspace_cannot_exceed_dims(capsys):
@@ -890,6 +934,7 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
         lambda doc: doc["fit_report"].update(wall_time_seconds=-3.0),
         lambda doc: doc["fit_report"].update(wall_time_seconds=math.nan),
         lambda doc: doc.update(subspace_dims=31),
+        lambda doc: doc.pop("method"),
     ],
     ids=["class_means_count", "nan_lambda", "fractional_max_iter",
          "fractional_subspace_dims", "fractional_positive_class", "bool_positive_class",
@@ -898,7 +943,8 @@ def test_train_mistyped_dataset_manifest_is_format_error(tmp_path, capsys, damag
          "string_iterations_run", "iterations_run_not_trace_length", "string_converged",
          "string_objective_trace", "bool_objective", "convergence_trace_too_long",
          "bool_lambda", "bool_eps", "string_wall_time",
-         "negative_wall_time", "nan_wall_time", "more_directions_than_sample_values"],
+         "negative_wall_time", "nan_wall_time", "more_directions_than_sample_values",
+         "no_method"],
 )
 def test_eval_mistyped_model_json_is_format_error(tmp_path, capsys, damage):
     data = make_synth(tmp_path)
@@ -936,6 +982,17 @@ def test_bench_rejects_fewer_than_two_samples(monkeypatch, capsys, n):
     code = run("bench", "--dims", "4x3", "--subspace", "2x2", "--n", n)
     assert code == 2
     assert f"--n must be >= 2, one sample per class, got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["3", "7"])
+def test_bench_rejects_an_odd_sample_count(monkeypatch, capsys, n):
+    def no_synth(spec):
+        raise AssertionError("bench synthesized data before checking --n")
+
+    monkeypatch.setattr("mcsda.cli.synth_generate", no_synth)
+    code = run("bench", "--dims", "4x3", "--subspace", "2x2", "--n", n)
+    assert code == 2
+    assert f"--n must be even, half of it per class, got {n}" in capsys.readouterr().err
 
 
 def test_bench_times_fits_and_scoring_by_the_median(tmp_path, monkeypatch):

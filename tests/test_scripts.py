@@ -37,3 +37,19 @@ def test_synthetic_protocol(tmp_path):
         assert 0.0 <= row["map"]["mean"] <= 1.0
         assert row["train_seconds"]["mean"] > 0
 
+
+
+def test_synthetic_protocol_refuses_a_split_with_no_held_out_sample(tmp_path):
+    # ceil(0.9 * 4) = 4: every sample of each class goes to training
+    report = tmp_path / "protocol.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "synthetic_protocol.py"), "--dims", "6x5",
+         "--classes", "3", "--per-class", "4", "--repeats", "1", "--fractions", "0.5,0.9",
+         "--subspace", "2x2", "--report", str(report)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage error: --fractions 0.9 leaves class 1 no held-out sample\n"
+    assert not report.exists()
