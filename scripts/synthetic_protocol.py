@@ -5,8 +5,9 @@ trains one-vs-rest models per method, and scores the held-out half by
 mean average precision. The table reports mAP mean +/- std across
 repeats and the mean one-vs-rest training time normalized to the
 fastest method. Dims, solver flags, scoring and the report follow
-`mcsda train` and `mcsda eval --task verify`; a fraction whose split
-leaves a class no held-out sample is refused before any fit.
+`mcsda train` and `mcsda eval --task verify`. An unknown method, a
+repeat count below one, and a fraction whose split leaves a class no
+held-out sample are refused before any fit.
 
 Example:
     python3 scripts/synthetic_protocol.py --repeats 3 --fractions 0.25,0.5
@@ -20,6 +21,7 @@ import time
 import numpy as np
 
 from mcsda import (
+    METHODS,
     SynthSpec,
     TrainConfig,
     average_precision,
@@ -30,6 +32,7 @@ from mcsda import (
     verification_report,
 )
 from mcsda.cli import _add_config_flags, _parse_dims, _write_report
+from mcsda.datasets import _check_count
 from mcsda.discriminant import _score_matrix
 
 
@@ -84,7 +87,19 @@ def main():
     parser.add_argument("--report", help="optional JSON output path")
     args = parser.parse_args()
 
+    # the methods and the repeat count are checked before any data is drawn
     methods = args.methods.split(",")
+    try:
+        for method in methods:
+            if method not in METHODS:
+                raise ValueError(
+                    f"--methods: unknown method {method!r}, expected some of "
+                    f"{','.join(sorted(METHODS))}"
+                )
+        _check_count("--repeats", args.repeats)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     data = synth_generate(
         SynthSpec(
             dims=args.dims,

@@ -6,13 +6,16 @@ a numerator and a denominator stack of centered tensors, flattened for
 the vector methods. ``_projection_shapes`` is the one shape rule: one
 (prod(I_k), d) matrix for a vector method, one (I_k, d_k) per mode for a
 tensor method, as the fits, ``load_model`` and ``parameter_count`` take
-them. The engine lays each stack out once per mode
-(``tensor_ops._mode_layout``) and runs Gauss-Seidel sweeps of per-mode
-regularized ratio-trace eigensolves over the layouts, from an all-ones
-initialization until the summed projector distance between consecutive
-sweeps drops to `eps`. Every solve gets the lower-triangle scatters that
-LAPACK reads, as its own scratch: a vector fit holds its two stacks and
-two n x n Grams, with no copies of them. The fit's one one-mode branch
+them. The engine lays each stack out twice, for mode 0 and for the
+last mode (``tensor_ops._mode_layout``), and runs Gauss-Seidel sweeps of
+per-mode regularized ratio-trace eigensolves over the layouts, from an
+all-ones initialization until the summed projector distance between
+consecutive sweeps drops to `eps`. Every mode after the first starts
+from each stack's running product with the matrices solved before it in
+the sweep, so a sweep makes two full-size contractions per stack, not
+one per mode. Every solve gets the lower-triangle scatters that LAPACK
+reads, as its own scratch: a vector fit holds its two stacks and two
+n x n Grams, with no copies of them. The fit's one one-mode branch
 solves a one-mode criterion jointly, so ``fit_lda`` and ``fit_csda``
 (and ``fit_mda``/``fit_mcsda`` on one-mode data, which equal them bit
 for bit) report one converged sweep; lda's solve works on the C rows of
@@ -51,9 +54,11 @@ from .datasets import LabeledDataset, _check_count, _check_dims, _check_integer,
 from .linalg import ScatterPair, _solve_factor, solve_ratio_trace
 from .tensor_ops import (
     _check_projections,
+    _contract_first,
     _gemm_tn,
     _mode_layout,
     _project_chains,
+    _project_later,
     _project_layout,
     _sample_layout,
     multi_project,
@@ -459,18 +464,38 @@ def _projection_shapes(method: str, subspace_dims, dims):
     return sub, list(zip(dims, sub))
 
 
+def _sweep_layouts(stack: np.ndarray, n_modes: int):
+    """The two layouts a fit sweeps over, mode 0's and the last mode's
+    (:func:`tensor_ops._mode_layout`); one view of a one-mode stack.
+    Mode 0's is copied from the last mode's, whose samples lie in runs."""
+    last = _mode_layout(stack, n_modes - 1)
+    first = last if n_modes == 1 else np.ascontiguousarray(np.moveaxis(last, 0, -2))
+    return first, last
+
+
 def _sweep(layouts, ws, ridge: float) -> float:
     """One Gauss-Seidel sweep over the numerator's and the denominator's
-    per-mode layouts: solve each mode's pencil in turn, for as many
+    :func:`_sweep_layouts`: solve each mode's pencil in turn, for as many
     directions as `ws[k]` has columns and every other mode projected with
-    its latest matrix, into `ws[k]`. Each solve gets the lower-triangle
-    scatters, the part that LAPACK reads, as its own scratch.
+    its latest matrix, into `ws[k]`. Mode 0 projects its own layout; every
+    later mode k starts from each stack's running product, the last
+    mode's layout contracted with ws[0], .., ws[k - 1] as this sweep
+    solved them, and projects the modes after it, still at their previous
+    matrices, by batched products (``tensor_ops._project_later``). The
+    last mode's product is thus ``_project_layout`` of its layout, bit for
+    bit. Each solve gets the lower-triangle scatters, the part that LAPACK
+    reads, as its own scratch.
 
     Returns the criterion at the new `ws`, taken from the unfoldings of
     the last solve (:func:`_ratio`): no mode changes after it.
     """
+    products = [last for _, last in layouts]
     for k in range(len(ws)):
-        hs = [_project_layout(per_mode[k], ws, k) for per_mode in layouts]
+        if k == 0:
+            hs = [_project_layout(first, ws, 0) for first, _ in layouts]
+        else:
+            products = [_contract_first(p, ws[k - 1]) for p in products]
+            hs = [_project_later(p, ws, k) for p in products]
         pair = ScatterPair(*map(_lower_gram, hs))
         ws[k] = solve_ratio_trace(pair, ws[k].shape[1], ridge, overwrite=True).vectors
     return _ratio(hs, ws[-1])
@@ -509,12 +534,12 @@ def _fit(
 
     Takes every projection's shape from the one shape rule
     (:func:`_projection_shapes`), builds the criterion's two stacks once
-    (:func:`_criterion`) and lays each out once per mode. Two or more
-    modes run Gauss-Seidel sweeps of per-mode eigensolves (:func:`_alternate`).
-    The one one-mode branch (vector methods, whose stacks are flattened,
-    and one-mode mda/mcsda) solves the joint pencil once, as one converged
-    sweep: through the C columns of lda/mda's numerator when d <= C, else
-    by one :func:`_sweep`.
+    (:func:`_criterion`) and lays each out twice (:func:`_sweep_layouts`).
+    Two or more modes run Gauss-Seidel sweeps of per-mode eigensolves
+    (:func:`_alternate`). The one one-mode branch (vector methods, whose
+    stacks are flattened, and one-mode mda/mcsda) solves the joint pencil
+    once, as one converged sweep: through the C columns of lda/mda's
+    numerator when d <= C, else by one :func:`_sweep`.
     """
     start = time.perf_counter()
     subspace, shapes = _projection_shapes(method, config.subspace_dims, data.dims)
@@ -532,14 +557,14 @@ def _fit(
             )
     ones = config.init == "ones"
     ws = [np.ones(shape) if ones else np.eye(*shape) for shape in shapes]
-    layouts = [[_mode_layout(s, k) for k in range(len(ws))] for s in (num, den)]
+    layouts = [_sweep_layouts(s, len(ws)) for s in (num, den)]
     del num, den  # free the stacks: the sweeps read only the layouts
     if len(ws) > 1:
         objective_trace, convergence_trace, converged = _alternate(layouts, ws, config)
     else:
         d = ws[0].shape[1]
         if class_means is not None and d <= len(class_means):
-            hs = [layout for (layout,) in layouts]
+            hs = [layout for _, layout in layouts]
             ws[0] = _solve_factor(hs[0], _lower_gram(hs[1]), d, config.reg_lambda).vectors
             objective = _ratio(hs, ws[0])
         else:

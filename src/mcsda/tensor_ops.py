@@ -14,8 +14,12 @@ The package projects stacks of tensors with two routines, one per job.
 Fitting and the public criterion functions need a mode-k unfolding with
 every other mode projected: :func:`_mode_layout` copies a stack once to
 its mode-k layout, with the axes ordered (other modes, mode k, sample),
-and :func:`_project_layout` contracts it from the first axis; the fit
-engine makes each stack's layouts once per fit. Scoring and
+and :func:`_project_layout` contracts it from the first axis. The fit
+engine lays each stack out twice per fit, not once per mode: mode 0's
+layout, and the last mode's, whose running product with the matrices
+solved so far in a sweep serves every mode after the first
+(:func:`_project_later` contracts the modes after it by one batched
+product each, :func:`_contract_batched`). Scoring and
 ``multi_project`` need every mode projected: :func:`_project_chains`
 contracts a stack from the fastest-varying axis as it lies in memory
 (:func:`_sample_layout`), so that neither a C-ordered stack nor one read
@@ -24,7 +28,9 @@ in file order is copied. Each mode product is a single ``dgemm`` from
 on (see ``linalg``), on a free reshape of a C-contiguous array: it
 contracts the first or the last axis, and the new axis of the result
 lies at the other end. A chain of such products therefore rotates the
-axes instead of moving them, and copies nothing.
+axes instead of moving them, and copies nothing. The batched product,
+which contracts an axis between others, is numpy's ``matmul`` (numpy's
+OpenBLAS build): one small product per index of the leading axes.
 """
 
 from __future__ import annotations
@@ -127,6 +133,16 @@ def _contract_last(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dgemm(1.0, m.T, w, trans_a=1).T.reshape((w.shape[1],) + x.shape[:-1])
 
 
+def _contract_batched(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """Contract axis `axis` of the C-contiguous `x` with w (I, d); the new
+    axis of size d takes its place. One product w^T x[i] per index i of
+    the leading axes, by numpy's batched matmul; the result is
+    C-contiguous."""
+    lead, rest = x.shape[:axis], x.shape[axis + 1 :]
+    out = np.matmul(w.T, x.reshape(math.prod(lead), x.shape[axis], math.prod(rest)))
+    return out.reshape(lead + (w.shape[1],) + rest)
+
+
 def _mode_layout(stack: np.ndarray, mode: int) -> np.ndarray:
     """The (N, *dims) stack with its axes ordered (every mode but `mode`
     in order, `mode`, sample): one C-contiguous copy, which
@@ -147,6 +163,20 @@ def _project_layout(layout: np.ndarray, projections, mode: int) -> np.ndarray:
     for q, w in enumerate(projections):
         if q != mode:
             out = _contract_first(out, w)
+    return out.reshape(out.shape[0], -1)
+
+
+def _project_later(product, projections, mode: int) -> np.ndarray:
+    """Contract every mode after `mode` of a running product and return
+    its (I_mode, M) mode-`mode` unfolding. The running product is the
+    last mode's :func:`_mode_layout` contracted by :func:`_contract_first`
+    with projections[0], .., projections[mode - 1], axes (I_mode, ..,
+    I_{K-1}, sample, d_0, .., d_{mode-1}); each later mode lies right
+    behind the ones already contracted and goes by one
+    :func:`_contract_batched`."""
+    out = product
+    for q in range(mode + 1, len(projections)):
+        out = _contract_batched(out, projections[q], q - mode)
     return out.reshape(out.shape[0], -1)
 
 

@@ -865,3 +865,36 @@ def test_fits_agree_across_blas_thread_counts(tmp_path):
             assert subspace_angles(one[key], two[key]).max() < 1e-8, key
         else:
             assert np.array_equal(one[key], two[key]), key
+
+
+def _public_sweep(ds, method, positive, start, ridge):
+    """One Gauss-Seidel sweep through the public scatters, which project
+    the whole stack afresh for every mode: each mode is solved with the
+    modes before it at their new matrices and the modes after it at their
+    previous ones."""
+    ws = list(start)
+    for k, w in enumerate(ws):
+        if method == "mcsda":
+            pair = mode_k_class_specific_scatters(ds, positive, ws, k)
+        else:
+            pair = mda_mode_scatters(ds, ws, k)
+        ws[k] = solve_ratio_trace(pair, w.shape[1], ridge).vectors
+    return ws
+
+
+@pytest.mark.parametrize("dims", [(6, 5), (5, 4, 3), (5, 4, 3, 3), (4, 3, 3, 2, 2)])
+@pytest.mark.parametrize("method,positive", [("mcsda", 2), ("mda", None)])
+def test_sweep_matches_a_sweep_through_the_public_scatters(rng, method, positive, dims):
+    # the engine solves every mode after the first from a running product
+    # per stack; from fixed random full-rank matrices, one sweep must
+    # solve the pencils of the public scatters, mode by mode
+    ds = separable(rng, dims=dims)
+    start = [rng.normal(size=(i, max(1, i // 2))) for i in dims]
+    want = _public_sweep(ds, method, positive, start, 0.01)
+    stacks = mcsda.discriminant._criterion(ds, method, positive)[2:]
+    layouts = [mcsda.discriminant._sweep_layouts(s, len(dims)) for s in stacks]
+    ws = [w.copy() for w in start]
+    objective = mcsda.discriminant._sweep(layouts, ws, 0.01)
+    for k, (got, w) in enumerate(zip(ws, want)):
+        assert max_angle(got, w) < 1e-10, k
+    assert objective == pytest.approx(_criterion(ds, method, positive, want), rel=1e-12, abs=0)

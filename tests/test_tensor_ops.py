@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mcsda import fold, mode_product, multi_project, unfold
-from mcsda.tensor_ops import _mode_layout, _project_chains, _project_layout, _sample_layout
+from mcsda.tensor_ops import (
+    _contract_first,
+    _mode_layout,
+    _project_chains,
+    _project_later,
+    _project_layout,
+    _sample_layout,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +311,28 @@ def test_projection_routines_match_einsum(dims, n, layouts, slab, data):
         np.testing.assert_allclose(
             multi_project(stack[0], ws), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
         )
+
+
+@pytest.mark.parametrize("dims", [(5, 4), (5, 4, 3), (4, 3, 3, 2), (3, 2, 2, 2, 2)])
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_running_product_projects_every_mode_but_one(rng, dims, n):
+    # the fit's modes after the first: the last mode's layout contracted
+    # with the matrices before the mode, one more per mode, then the modes
+    # after it by batched products; the columns come in the order the
+    # contractions leave, (later modes, sample, earlier modes)
+    last = len(dims) - 1
+    stack = rng.normal(size=(n, *dims))
+    ws = [rng.normal(size=(i, max(1, i - 2))) for i in dims]
+    product = _mode_layout(stack, last)
+    for k in range(1, last + 1):
+        product = _contract_first(product, ws[k - 1])
+        axes = [k + 1, *range(k + 2, last + 2), 0, *range(1, k + 1)]
+        want = project_by_einsum(stack, ws, k).transpose(axes).reshape(dims[k], -1)
+        got = _project_later(product, ws, k)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1))
+    # the last mode's unfolding is that of its own layout, bit for bit
+    assert np.array_equal(got, _project_layout(_mode_layout(stack, last), ws, last))
 
 
 def test_full_projection_copies_no_stack():
