@@ -6,23 +6,22 @@ a numerator and a denominator stack of centered tensors, flattened for
 the vector methods. ``_projection_shapes`` is the one shape rule: one
 (prod(I_k), d) matrix for a vector method, one (I_k, d_k) per mode for a
 tensor method, as the fits, ``load_model`` and ``parameter_count`` take
-them. The engine lays each stack out twice, for mode 0 and for the
-last mode (``tensor_ops._mode_layout``), and runs Gauss-Seidel sweeps of
-per-mode regularized ratio-trace eigensolves over the layouts, from an
-all-ones initialization until the summed projector distance between
-consecutive sweeps drops to `eps`. Every mode after the first starts
-from each stack's running product with the matrices solved before it in
-the sweep, so a sweep makes two full-size contractions per stack, not
-one per mode. Every solve gets the lower-triangle scatters that LAPACK
-reads, as its own scratch: a vector fit holds its two stacks and two
-n x n Grams, with no copies of them. The fit's one one-mode branch
-solves a one-mode criterion jointly, so ``fit_lda`` and ``fit_csda``
-(and ``fit_mda``/``fit_mcsda`` on one-mode data, which equal them bit
-for bit) report one converged sweep; lda's solve works on the C rows of
-its between-class numerator stack. Each sweep's objective comes from its
-last solve's unfoldings, and the public objectives run the same
-routines, so a fit's last objective is the public objective of its
-projections, bit for bit.
+them. The engine lays each stack out once (``tensor_ops._mode_layout``)
+and runs Gauss-Seidel sweeps of per-mode regularized ratio-trace
+eigensolves over the layouts, from an all-ones initialization until the
+summed projector distance between consecutive sweeps drops to `eps`.
+Every mode starts from each stack's running product with the matrices
+solved before it in the sweep. Every solve gets the lower-triangle
+scatters that LAPACK reads, as its own scratch: a vector fit holds its
+two stacks and two n x n Grams, with no copies of them. The fit's one
+one-mode branch solves a one-mode criterion jointly, so ``fit_lda`` and
+``fit_csda`` (and ``fit_mda``/``fit_mcsda`` on one-mode data, which
+equal them bit for bit) report one converged sweep; lda's solve works
+on the C rows of its between-class numerator stack. Each sweep's
+objective comes from its last solve's unfoldings. The public scatters
+and objectives take the same running products, so they return the
+fit's scatters of every mode, and a fit's last objective is the public
+objective of its projections, bit for bit.
 
 The class-specific criteria (``csda``, ``mcsda``) separate one positive
 class from everything else and center every scatter on the positive
@@ -59,7 +58,6 @@ from .tensor_ops import (
     _mode_layout,
     _project_chains,
     _project_later,
-    _project_layout,
     _sample_layout,
     multi_project,
 )
@@ -293,10 +291,16 @@ def _gram(h: np.ndarray) -> np.ndarray:
 
 def _unfoldings(num, den, projections, mode: int) -> list[np.ndarray]:
     """The mode-`mode` unfoldings of both stacks, every other mode
-    projected, as the fit engine builds them. Their columns are not in
-    fiber order; the scatters and squared norms taken from them do not
-    depend on column order."""
-    return [_project_layout(_mode_layout(s, mode), projections, mode) for s in (num, den)]
+    projected, by the fit engine's arithmetic: each stack's running
+    product (:func:`_sweep`). Their columns are not in fiber order; the
+    scatters and squared norms taken from them do not depend on column
+    order."""
+    hs = []
+    for product in map(_mode_layout, (num, den)):
+        for w in projections[:mode]:
+            product = _contract_first(product, w)
+        hs.append(_project_later(product, projections, mode))
+    return hs
 
 
 def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
@@ -464,38 +468,26 @@ def _projection_shapes(method: str, subspace_dims, dims):
     return sub, list(zip(dims, sub))
 
 
-def _sweep_layouts(stack: np.ndarray, n_modes: int):
-    """The two layouts a fit sweeps over, mode 0's and the last mode's
-    (:func:`tensor_ops._mode_layout`); one view of a one-mode stack.
-    Mode 0's is copied from the last mode's, whose samples lie in runs."""
-    last = _mode_layout(stack, n_modes - 1)
-    first = last if n_modes == 1 else np.ascontiguousarray(np.moveaxis(last, 0, -2))
-    return first, last
-
-
 def _sweep(layouts, ws, ridge: float) -> float:
     """One Gauss-Seidel sweep over the numerator's and the denominator's
-    :func:`_sweep_layouts`: solve each mode's pencil in turn, for as many
-    directions as `ws[k]` has columns and every other mode projected with
-    its latest matrix, into `ws[k]`. Mode 0 projects its own layout; every
-    later mode k starts from each stack's running product, the last
-    mode's layout contracted with ws[0], .., ws[k - 1] as this sweep
-    solved them, and projects the modes after it, still at their previous
-    matrices, by batched products (``tensor_ops._project_later``). The
-    last mode's product is thus ``_project_layout`` of its layout, bit for
-    bit. Each solve gets the lower-triangle scatters, the part that LAPACK
-    reads, as its own scratch.
+    layouts (``tensor_ops._mode_layout``): solve each mode's pencil in
+    turn, for as many directions as `ws[k]` has columns and every other
+    mode projected with its latest matrix, into `ws[k]`. Every mode k starts from each
+    stack's running product, its layout contracted with ws[0], ..,
+    ws[k - 1] as this sweep solved them (the layout itself for mode 0),
+    and projects the modes after it, still at their previous matrices, by
+    batched products (``tensor_ops._project_later``). Each solve gets the
+    lower-triangle scatters, the part that LAPACK reads, as its own
+    scratch.
 
     Returns the criterion at the new `ws`, taken from the unfoldings of
     the last solve (:func:`_ratio`): no mode changes after it.
     """
-    products = [last for _, last in layouts]
+    products = layouts
     for k in range(len(ws)):
-        if k == 0:
-            hs = [_project_layout(first, ws, 0) for first, _ in layouts]
-        else:
+        if k:
             products = [_contract_first(p, ws[k - 1]) for p in products]
-            hs = [_project_later(p, ws, k) for p in products]
+        hs = [_project_later(p, ws, k) for p in products]
         pair = ScatterPair(*map(_lower_gram, hs))
         ws[k] = solve_ratio_trace(pair, ws[k].shape[1], ridge, overwrite=True).vectors
     return _ratio(hs, ws[-1])
@@ -534,7 +526,7 @@ def _fit(
 
     Takes every projection's shape from the one shape rule
     (:func:`_projection_shapes`), builds the criterion's two stacks once
-    (:func:`_criterion`) and lays each out twice (:func:`_sweep_layouts`).
+    (:func:`_criterion`) and lays each out once (``_mode_layout``).
     Two or more modes run Gauss-Seidel sweeps of per-mode eigensolves
     (:func:`_alternate`). The one one-mode branch (vector methods, whose
     stacks are flattened, and one-mode mda/mcsda) solves the joint pencil
@@ -557,16 +549,15 @@ def _fit(
             )
     ones = config.init == "ones"
     ws = [np.ones(shape) if ones else np.eye(*shape) for shape in shapes]
-    layouts = [_sweep_layouts(s, len(ws)) for s in (num, den)]
+    layouts = [_mode_layout(s) for s in (num, den)]
     del num, den  # free the stacks: the sweeps read only the layouts
     if len(ws) > 1:
         objective_trace, convergence_trace, converged = _alternate(layouts, ws, config)
     else:
         d = ws[0].shape[1]
         if class_means is not None and d <= len(class_means):
-            hs = [layout for _, layout in layouts]
-            ws[0] = _solve_factor(hs[0], _lower_gram(hs[1]), d, config.reg_lambda).vectors
-            objective = _ratio(hs, ws[0])
+            ws[0] = _solve_factor(layouts[0], _lower_gram(layouts[1]), d, config.reg_lambda).vectors
+            objective = _ratio(layouts, ws[0])
         else:
             objective = _sweep(layouts, ws, config.reg_lambda)
         objective_trace, convergence_trace, converged = [objective], [0.0], True

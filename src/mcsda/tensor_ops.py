@@ -12,25 +12,25 @@ holds for every matrix w whose column count matches dimension k.
 
 The package projects stacks of tensors with two routines, one per job.
 Fitting and the public criterion functions need a mode-k unfolding with
-every other mode projected: :func:`_mode_layout` copies a stack once to
-its mode-k layout, with the axes ordered (other modes, mode k, sample),
-and :func:`_project_layout` contracts it from the first axis. The fit
-engine lays each stack out twice per fit, not once per mode: mode 0's
-layout, and the last mode's, whose running product with the matrices
-solved so far in a sweep serves every mode after the first
-(:func:`_project_later` contracts the modes after it by one batched
-product each, :func:`_contract_batched`). Scoring and
-``multi_project`` need every mode projected: :func:`_project_chains`
-contracts a stack from the fastest-varying axis as it lies in memory
-(:func:`_sample_layout`), so that neither a C-ordered stack nor one read
-in file order is copied. Each mode product is a single ``dgemm`` from
-``scipy.linalg.blas``, the OpenBLAS build that the eigensolver also runs
-on (see ``linalg``), on a free reshape of a C-contiguous array: it
-contracts the first or the last axis, and the new axis of the result
-lies at the other end. A chain of such products therefore rotates the
-axes instead of moving them, and copies nothing. The batched product,
-which contracts an axis between others, is numpy's ``matmul`` (numpy's
-OpenBLAS build): one small product per index of the leading axes.
+every other mode projected. They lay a stack out once, with the axes
+ordered (modes, sample) (:func:`_mode_layout`), and take every mode
+from its running product: the layout contracted from the first axis
+with the matrices of the modes before k, one more per mode
+(:func:`_contract_first`), then the modes after k by one batched
+product each (:func:`_project_later`, :func:`_contract_batched`).
+Scoring and ``multi_project`` need every mode projected:
+:func:`_project_chains` contracts a stack from the fastest-varying axis
+as it lies in memory (:func:`_sample_layout`), so that neither a
+C-ordered stack nor one read in file order is copied.
+
+A mode product that contracts the first or the last axis is a single
+``dgemm`` from ``scipy.linalg.blas``, the OpenBLAS build that the
+eigensolver also runs on (see ``linalg``), on a free reshape of a
+C-contiguous array, and the new axis of the result lies at the other
+end. A chain of such products therefore rotates the axes instead of
+moving them, and copies nothing. The batched product, which contracts
+an axis between others, is numpy's ``matmul`` (numpy's OpenBLAS build):
+one small product per index of the leading axes.
 """
 
 from __future__ import annotations
@@ -143,36 +143,23 @@ def _contract_batched(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(lead + (w.shape[1],) + rest)
 
 
-def _mode_layout(stack: np.ndarray, mode: int) -> np.ndarray:
-    """The (N, *dims) stack with its axes ordered (every mode but `mode`
-    in order, `mode`, sample): one C-contiguous copy, which
-    :func:`_project_layout` contracts without copying again. A one-mode
-    stack has nothing to contract, so its transposed view serves."""
-    axes = [q + 1 for q in range(stack.ndim - 1) if q != mode] + [mode + 1, 0]
-    layout = stack.transpose(axes)
+def _mode_layout(stack: np.ndarray) -> np.ndarray:
+    """The (N, *dims) stack with its axes ordered (modes in order, sample):
+    one C-contiguous copy, the running product that
+    :func:`_contract_first` and :func:`_project_later` contract without
+    copying again. A one-mode stack has nothing to contract, so its
+    transposed view serves."""
+    layout = np.moveaxis(stack, 0, -1)
     return layout if stack.ndim == 2 else np.ascontiguousarray(layout)
-
-
-def _project_layout(layout: np.ndarray, projections, mode: int) -> np.ndarray:
-    """Contract every mode but `mode` of a :func:`_mode_layout`, in mode
-    order, with projections[q]^T, and return the (I_mode, M) mode-`mode`
-    unfolding of the result, the sample index slowest: the contractions
-    leave the axes (`mode`, sample, projected modes in order), so that
-    reshape is free."""
-    out = layout
-    for q, w in enumerate(projections):
-        if q != mode:
-            out = _contract_first(out, w)
-    return out.reshape(out.shape[0], -1)
 
 
 def _project_later(product, projections, mode: int) -> np.ndarray:
     """Contract every mode after `mode` of a running product and return
-    its (I_mode, M) mode-`mode` unfolding. The running product is the
-    last mode's :func:`_mode_layout` contracted by :func:`_contract_first`
-    with projections[0], .., projections[mode - 1], axes (I_mode, ..,
-    I_{K-1}, sample, d_0, .., d_{mode-1}); each later mode lies right
-    behind the ones already contracted and goes by one
+    its (I_mode, M) mode-`mode` unfolding. The running product is a
+    :func:`_mode_layout` contracted by :func:`_contract_first` with
+    projections[0], .., projections[mode - 1] (none for mode 0), axes
+    (I_mode, .., I_{K-1}, sample, d_0, .., d_{mode-1}); each later mode
+    lies right behind the ones already contracted and goes by one
     :func:`_contract_batched`."""
     out = product
     for q in range(mode + 1, len(projections)):

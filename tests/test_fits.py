@@ -44,6 +44,7 @@ from mcsda import (
 
 from mcsda.discriminant import _subspace_projector
 from mcsda.linalg import _solve_factor
+from mcsda.tensor_ops import _mode_layout
 
 from conftest import random_dataset
 
@@ -520,6 +521,25 @@ def test_csda_fit_holds_its_stacks_and_two_grams():
     assert peak < data.samples.nbytes + 2 * n * n * 8 + 2**20
 
 
+@pytest.mark.parametrize("method", ["mcsda", "mda"])
+def test_tensor_fit_holds_its_stacks_and_one_layout_each(method):
+    # a tensor fit lays each criterion stack out once and takes every
+    # mode from that layout's running product: at its peak it holds the
+    # two stacks (the N samples between them) and their two layouts, and
+    # the products and Grams are small beside them. A second layout per
+    # stack would exceed the bound
+    data = synth_generate(SynthSpec((10, 8, 6), 6, 40, 1.0, 2.0, seed=7))
+    cfg = TrainConfig(subspace_dims=(4, 4, 3))
+    fit_class_specific(data, method, 1, cfg)
+    tracemalloc.start()
+    try:
+        fit_class_specific(data, method, 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * data.samples.nbytes + 2**18
+
+
 def test_convergence_metric_shape_checks():
     w = np.eye(3, 2)
     with pytest.raises(ValueError, match="lengths"):
@@ -885,16 +905,17 @@ def _public_sweep(ds, method, positive, start, ridge):
 @pytest.mark.parametrize("dims", [(6, 5), (5, 4, 3), (5, 4, 3, 3), (4, 3, 3, 2, 2)])
 @pytest.mark.parametrize("method,positive", [("mcsda", 2), ("mda", None)])
 def test_sweep_matches_a_sweep_through_the_public_scatters(rng, method, positive, dims):
-    # the engine solves every mode after the first from a running product
-    # per stack; from fixed random full-rank matrices, one sweep must
-    # solve the pencils of the public scatters, mode by mode
+    # the engine solves every mode from one running product per stack,
+    # and the public scatters and objectives take the same product; from
+    # fixed random full-rank matrices, one sweep must solve the pencils of
+    # the public scatters, mode by mode, bit for bit
     ds = separable(rng, dims=dims)
     start = [rng.normal(size=(i, max(1, i // 2))) for i in dims]
     want = _public_sweep(ds, method, positive, start, 0.01)
     stacks = mcsda.discriminant._criterion(ds, method, positive)[2:]
-    layouts = [mcsda.discriminant._sweep_layouts(s, len(dims)) for s in stacks]
+    layouts = [_mode_layout(s) for s in stacks]
     ws = [w.copy() for w in start]
     objective = mcsda.discriminant._sweep(layouts, ws, 0.01)
     for k, (got, w) in enumerate(zip(ws, want)):
-        assert max_angle(got, w) < 1e-10, k
-    assert objective == pytest.approx(_criterion(ds, method, positive, want), rel=1e-12, abs=0)
+        assert np.array_equal(got, w), k
+    assert objective == _criterion(ds, method, positive, want)

@@ -25,10 +25,10 @@ from mcsda import (
     multiclass_objective,
     unfold,
 )
-from mcsda.discriminant import _fit, _flatten_samples, _gram, _scatter_pair
-from mcsda.tensor_ops import _mode_layout, _project_layout
+from mcsda.discriminant import _fit, _flatten_samples, _gram, _scatter_pair, _unfoldings
 
 from conftest import assert_scatter_valid, random_dataset
+from test_tensor_ops import running_unfoldings
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +394,7 @@ def _stack_layouts(rng, dims):
 
 
 def _gram_by_matmul(stack, ws, mode):
-    h = _project_layout(_mode_layout(stack, mode), ws, mode)
+    h = _unfoldings(stack, stack, ws, mode)[0]
     if not (h.flags.c_contiguous or h.flags.f_contiguous):
         # numpy's matmul runs a loop of its own, not BLAS, on a strided
         # operand; compare with the product of its contiguous copy
@@ -419,12 +419,13 @@ def test_scatter_pair_bit_identical_to_matmul(rng, dims):
 
 
 # ---------------------------------------------------------------------------
-# the fit engine's path: a stack laid out once per mode, then contracted
+# the fit engine's path: a stack laid out once, then contracted mode by mode
 
 
-def _layout_scatter(stack, ws, mode):
-    """The mode scatter as the fit engine builds it each sweep."""
-    return _gram(_project_layout(_mode_layout(stack, mode), ws, mode))
+def _layout_scatters(stack, ws):
+    """Every mode's scatter as the fit engine builds them in one sweep,
+    from one running product of the stack's one layout."""
+    return [_gram(h) for h in running_unfoldings(stack, ws)]
 
 
 def scatter_by_einsum(stack, ws, mode):
@@ -457,12 +458,12 @@ def test_layout_scatter_matches_einsum(dims, n, layout, data):
     stack = {"C": base[:n], "F": np.asfortranarray(base[:n]), "sliced": base[::2]}[layout]
     sub = [data.draw(st.integers(1, i)) for i in dims]
     ws = [rng.normal(size=(i, j)) for i, j in zip(dims, sub)]
-    for mode in range(len(dims)):
-        got = _layout_scatter(stack, ws, mode)
+    for mode, got in enumerate(_layout_scatters(stack, ws)):
         want = scatter_by_einsum(stack, ws, mode)
         assert got.shape == (dims[mode], dims[mode])
         atol = 1e-12 * np.abs(want).max(initial=0.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
         assert np.array_equal(got, got.T)
-        # the public scatter functions lay the stack out per call: same bits
+        # the public scatter functions lay the stack out per call and
+        # take the same running product: same bits
         assert np.array_equal(got, _scatter_pair(stack, stack, ws, mode).numerator)

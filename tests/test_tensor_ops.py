@@ -15,7 +15,6 @@ from mcsda.tensor_ops import (
     _mode_layout,
     _project_chains,
     _project_later,
-    _project_layout,
     _sample_layout,
 )
 
@@ -264,6 +263,26 @@ def project_by_einsum(stack, ws, skip=None):
     return np.einsum(",".join(terms) + "->" + "".join(out), *operands)
 
 
+def running_unfoldings(stack, ws):
+    """Every mode's unfolding by the fit's routine, mode by mode: the
+    stack's one layout, contracted with the matrices before the mode (one
+    more per mode), then the modes after it by batched products."""
+    product = _mode_layout(stack)
+    for k in range(len(ws)):
+        if k:
+            product = _contract_first(product, ws[k - 1])
+        yield _project_later(product, ws, k)
+
+
+def unfolding_by_einsum(stack, ws, k):
+    """Reference mode-k unfolding, every other mode projected, its columns
+    in the order the running product leaves them: (later modes, sample,
+    earlier modes)."""
+    last = stack.ndim - 2
+    axes = [k + 1, *range(k + 2, last + 2), 0, *range(1, k + 1)]
+    return project_by_einsum(stack, ws, k).transpose(axes).reshape(stack.shape[k + 1], -1)
+
+
 def project_by_chains(stack, wss, slab):
     """Every projection set in `wss` applied to every mode of `stack` by
     the scoring routine, as (N, *subspace dims) arrays."""
@@ -300,9 +319,8 @@ def test_projection_routines_match_einsum(dims, n, layouts, slab, data):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
 
     # the fit's routine: every mode but k, as the mode-k unfolding
-    for k in range(len(dims)):
-        want = np.moveaxis(project_by_einsum(stack, ws, k), k + 1, 0)
-        check(_project_layout(_mode_layout(stack, k), ws, k), want.reshape(dims[k], -1))
+    for k, got in enumerate(running_unfoldings(stack, ws)):
+        check(got, unfolding_by_einsum(stack, ws, k))
     # the scoring routine: every mode, several projection sets at once
     for got, w in zip(project_by_chains(stack, [ws, other], slab), (ws, other)):
         check(got, project_by_einsum(stack, w))
@@ -316,23 +334,17 @@ def test_projection_routines_match_einsum(dims, n, layouts, slab, data):
 @pytest.mark.parametrize("dims", [(5, 4), (5, 4, 3), (4, 3, 3, 2), (3, 2, 2, 2, 2)])
 @pytest.mark.parametrize("n", [0, 1, 6])
 def test_running_product_projects_every_mode_but_one(rng, dims, n):
-    # the fit's modes after the first: the last mode's layout contracted
-    # with the matrices before the mode, one more per mode, then the modes
-    # after it by batched products; the columns come in the order the
-    # contractions leave, (later modes, sample, earlier modes)
-    last = len(dims) - 1
+    # every mode of the fit, from mode 0: the stack's one layout
+    # contracted with the matrices before the mode, one more per mode,
+    # then the modes after it by batched products; the columns come in
+    # the order the contractions leave, (later modes, sample, earlier
+    # modes)
     stack = rng.normal(size=(n, *dims))
     ws = [rng.normal(size=(i, max(1, i - 2))) for i in dims]
-    product = _mode_layout(stack, last)
-    for k in range(1, last + 1):
-        product = _contract_first(product, ws[k - 1])
-        axes = [k + 1, *range(k + 2, last + 2), 0, *range(1, k + 1)]
-        want = project_by_einsum(stack, ws, k).transpose(axes).reshape(dims[k], -1)
-        got = _project_later(product, ws, k)
+    for k, got in enumerate(running_unfoldings(stack, ws)):
+        want = unfolding_by_einsum(stack, ws, k)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1))
-    # the last mode's unfolding is that of its own layout, bit for bit
-    assert np.array_equal(got, _project_layout(_mode_layout(stack, last), ws, last))
 
 
 def test_full_projection_copies_no_stack():
