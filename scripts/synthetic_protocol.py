@@ -23,7 +23,6 @@ import numpy as np
 from mcsda import (
     METHODS,
     SynthSpec,
-    TrainConfig,
     average_precision,
     fit_one_vs_rest,
     stratified_split,
@@ -31,7 +30,7 @@ from mcsda import (
     synth_generate,
     verification_report,
 )
-from mcsda.cli import _add_config_flags, _parse_dims, _write_report
+from mcsda.cli import _add_config_flags, _config, _parse_dims, _write_report
 from mcsda.datasets import _check_count
 from mcsda.discriminant import _score_matrix
 
@@ -58,12 +57,7 @@ def config_for(method, args):
         sub = math.prod(args.subspace)
     else:
         sub = args.subspace
-    return TrainConfig(
-        subspace_dims=sub,
-        reg_lambda=args.reg_lambda,
-        max_iter=args.max_iter,
-        eps=args.eps,
-    )
+    return _config(args, sub)
 
 
 def main():

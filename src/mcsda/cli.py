@@ -106,13 +106,8 @@ def cmd_train(args) -> int:
     method = args.method
     if method in _CLASS_SPECIFIC and args.positive_class is None and not args.one_vs_rest:
         raise ValueError(f"{method} is class-specific: pass --positive-class or --one-vs-rest")
-    config = TrainConfig(
-        subspace_dims=args.dims[0] if len(args.dims) == 1 else args.dims,
-        reg_lambda=args.reg_lambda,
-        max_iter=args.max_iter,
-        eps=args.eps,
-        init=args.init,
-    )
+    subspace_dims = args.dims[0] if len(args.dims) == 1 else args.dims
+    config = replace(_config(args, subspace_dims), init=args.init)
     _projection_shapes(method, config.subspace_dims, _read_manifest(Path(args.data)).dims)
     data = load_dataset(args.data)
     with _staged_directory(Path(args.out), MODEL_OUTPUTS, "model", args.force) as stage:
@@ -262,12 +257,7 @@ def cmd_bench(args) -> int:
         )
     )
     d_vector = math.prod(sub)
-    ten_cfg = TrainConfig(
-        subspace_dims=sub,
-        reg_lambda=args.reg_lambda,
-        max_iter=args.max_iter,
-        eps=args.eps,
-    )
+    ten_cfg = _config(args, sub)
     vec_cfg = replace(ten_cfg, subspace_dims=d_vector)
 
     def median_time(fn):
@@ -337,6 +327,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter)
     parser.add_argument("--eps", type=float, default=TrainConfig.eps)
+
+
+def _config(args, subspace_dims) -> TrainConfig:
+    """The TrainConfig of the flags of :func:`_add_config_flags`."""
+    return TrainConfig(subspace_dims, args.reg_lambda, args.max_iter, args.eps)
 
 
 @functools.cache

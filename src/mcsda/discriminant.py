@@ -2,14 +2,15 @@
 
 All four trainers run on one fit engine. ``_criterion`` builds every
 criterion, for the fits, the public scatters and the objectives alike:
-a numerator and a denominator stack of centered tensors, flattened for
-the vector methods. ``_projection_shapes`` is the one shape rule: one
-(prod(I_k), d) matrix for a vector method, one (I_k, d_k) per mode for a
-tensor method, as the fits, ``load_model`` and ``parameter_count`` take
-them. The engine lays each stack out once (``tensor_ops._mode_layout``)
-and runs Gauss-Seidel sweeps of per-mode regularized ratio-trace
-eigensolves over the layouts, from an all-ones initialization until the
-summed projector distance between consecutive sweeps drops to `eps`.
+a numerator and a denominator stack of centered tensors, laid out with
+the sample axis last and flattened for the vector methods
+(``tensor_ops._stack_layout``). ``_projection_shapes`` is the one shape
+rule: one (prod(I_k), d) matrix for a vector method, one (I_k, d_k) per
+mode for a tensor method, as the fits, ``load_model`` and
+``parameter_count`` take them. The engine runs Gauss-Seidel sweeps of
+per-mode regularized ratio-trace eigensolves over the layouts, from an
+all-ones initialization until the summed projector distance between
+consecutive sweeps drops to `eps`.
 Every mode starts from each stack's running product with the matrices
 solved before it in the sweep. Every solve gets the lower-triangle
 scatters that LAPACK reads, as its own scratch: a vector fit holds its
@@ -55,10 +56,10 @@ from .tensor_ops import (
     _check_projections,
     _contract_first,
     _gemm_tn,
-    _mode_layout,
     _project_chains,
     _project_later,
     _sample_layout,
+    _stack_layout,
     multi_project,
 )
 
@@ -193,17 +194,9 @@ class DiscriminantModel:
 
 
 # ---------------------------------------------------------------------------
-# statistics and criterion stacks: every criterion is a numerator and a
-# denominator stack of centered (N, *dims) tensors, the common input of
-# the scatters, the objectives and the fit engine
-
-
-def _flatten_samples(samples: np.ndarray) -> np.ndarray:
-    """(N, *dims) -> (N, prod(dims)) with per-sample Fortran flattening,
-    the same embedding the on-disk format and tensor unfoldings use."""
-    n = samples.shape[0]
-    flat_dim = math.prod(samples.shape[1:])
-    return np.moveaxis(samples, 0, -1).reshape(flat_dim, n, order="F").T
+# statistics and criterion layouts: every criterion is a numerator and a
+# denominator stack of centered tensors, sample axis last, the common
+# input of the scatters, the objectives and the fit engine
 
 
 def _nonempty_counts(data: LabeledDataset, positive: int | None) -> np.ndarray:
@@ -234,12 +227,12 @@ def class_statistics(data: LabeledDataset, positive: int | None = None) -> Class
 
 def _criterion(data: LabeledDataset, method: str, positive: int | None):
     """The one criterion builder: the scoring reference mean (or None),
-    the class means (lda/mda, else None), and the numerator and
-    denominator stacks, flattened for the vector methods. csda/mcsda
-    center every sample on the positive class mean, out-of-class over
-    in-class; lda/mda take the count-weighted class-mean offsets over the
-    within-class residuals, of the positive-vs-rest problem if a positive
-    class is given."""
+    the class means (lda/mda, else None), and the numerator's and the
+    denominator's layouts (``tensor_ops._stack_layout``), flattened for
+    the vector methods. csda/mcsda center every sample on the positive
+    class mean, out-of-class over in-class; lda/mda take the
+    count-weighted class-mean offsets over the within-class residuals, of
+    the positive-vs-rest problem if a positive class is given."""
     _nonempty_counts(data, positive)
     if positive is not None and (data.labels == positive).all():
         raise ValueError("every sample belongs to the positive class")
@@ -266,9 +259,9 @@ def _criterion(data: LabeledDataset, method: str, positive: int | None):
         num = (class_means - stats.total_mean) * np.sqrt(stats.counts).reshape(shape)
         den = class_means[data.labels - 1]
         np.subtract(data.samples, den, out=den)
-    if method in VECTOR_METHODS:
-        num, den = _flatten_samples(num), _flatten_samples(den)
-    return reference_mean, class_means, num, den
+    flatten = method in VECTOR_METHODS
+    num = _stack_layout(num, flatten)  # drops the stack before the next copy
+    return reference_mean, class_means, num, _stack_layout(den, flatten)
 
 
 def _lower_gram(h: np.ndarray) -> np.ndarray:
@@ -290,13 +283,13 @@ def _gram(h: np.ndarray) -> np.ndarray:
 
 
 def _unfoldings(num, den, projections, mode: int) -> list[np.ndarray]:
-    """The mode-`mode` unfoldings of both stacks, every other mode
-    projected, by the fit engine's arithmetic: each stack's running
-    product (:func:`_sweep`). Their columns are not in fiber order; the
-    scatters and squared norms taken from them do not depend on column
-    order."""
+    """The mode-`mode` unfoldings of both layouts (:func:`_criterion`),
+    every other mode projected, by the fit engine's arithmetic: each
+    layout's running product (:func:`_sweep`). Their columns are not in
+    fiber order; the scatters and squared norms taken from them do not
+    depend on column order."""
     hs = []
-    for product in map(_mode_layout, (num, den)):
+    for product in (num, den):
         for w in projections[:mode]:
             product = _contract_first(product, w)
         hs.append(_project_later(product, projections, mode))
@@ -304,10 +297,10 @@ def _unfoldings(num, den, projections, mode: int) -> list[np.ndarray]:
 
 
 def _scatter_pair(num, den, projections=(), mode: int = 0) -> ScatterPair:
-    """Mode-`mode` scatters of both stacks: the sum over each stack of
+    """Mode-`mode` scatters of both layouts: the sum over each stack of
     U U^T, where U is the mode-`mode` unfolding of an entry after
     projecting every other mode. With the defaults, the plain scatters of
-    flattened (N, P) stacks."""
+    flattened (P, N) layouts."""
     return ScatterPair(*map(_gram, _unfoldings(num, den, projections, mode)))
 
 
@@ -363,7 +356,7 @@ def _objective(data: LabeledDataset, methods, positive, projections) -> float:
     a single matrix takes the vector method, so projects flat samples."""
     method = methods[0] if len(projections) == 1 else methods[1]
     num, den = _criterion(data, method, positive)[2:]
-    ws = _check_projections(projections, num.shape[1:])
+    ws = _check_projections(projections, num.shape[:-1])
     last = len(ws) - 1
     return _ratio(_unfoldings(num, den, ws, last), ws[last])
 
@@ -470,7 +463,7 @@ def _projection_shapes(method: str, subspace_dims, dims):
 
 def _sweep(layouts, ws, ridge: float) -> float:
     """One Gauss-Seidel sweep over the numerator's and the denominator's
-    layouts (``tensor_ops._mode_layout``): solve each mode's pencil in
+    layouts (:func:`_criterion`): solve each mode's pencil in
     turn, for as many directions as `ws[k]` has columns and every other
     mode projected with its latest matrix, into `ws[k]`. Every mode k starts from each
     stack's running product, its layout contracted with ws[0], ..,
@@ -525,17 +518,17 @@ def _fit(
     problem with one and the multi-class criterion without).
 
     Takes every projection's shape from the one shape rule
-    (:func:`_projection_shapes`), builds the criterion's two stacks once
-    (:func:`_criterion`) and lays each out once (``_mode_layout``).
-    Two or more modes run Gauss-Seidel sweeps of per-mode eigensolves
-    (:func:`_alternate`). The one one-mode branch (vector methods, whose
-    stacks are flattened, and one-mode mda/mcsda) solves the joint pencil
-    once, as one converged sweep: through the C columns of lda/mda's
-    numerator when d <= C, else by one :func:`_sweep`.
+    (:func:`_projection_shapes`) and the criterion's two layouts from
+    :func:`_criterion`. Two or more modes run Gauss-Seidel sweeps of
+    per-mode eigensolves (:func:`_alternate`). The one one-mode branch
+    (vector methods, whose layouts are flattened, and one-mode mda/mcsda)
+    solves the joint pencil once, as one converged sweep: through the C
+    columns of lda/mda's numerator when d <= C, else by one
+    :func:`_sweep`.
     """
     start = time.perf_counter()
     subspace, shapes = _projection_shapes(method, config.subspace_dims, data.dims)
-    reference_mean, class_means, num, den = _criterion(data, method, positive)
+    reference_mean, class_means, *layouts = _criterion(data, method, positive)
     if class_means is not None:
         n_classes = len(class_means)
         if n_classes < 2:
@@ -549,8 +542,6 @@ def _fit(
             )
     ones = config.init == "ones"
     ws = [np.ones(shape) if ones else np.eye(*shape) for shape in shapes]
-    layouts = [_mode_layout(s) for s in (num, den)]
-    del num, den  # free the stacks: the sweeps read only the layouts
     if len(ws) > 1:
         objective_trace, convergence_trace, converged = _alternate(layouts, ws, config)
     else:

@@ -16,9 +16,12 @@ denominator and the SVD of L^-1 X instead (``_solve_factor``).
 These run on the OpenBLAS build bundled with scipy, whose thread pool is
 separate from numpy's. The fit engine therefore runs the rest of its
 sweeps on scipy's BLAS and LAPACK too (``dsyrk`` in
-``discriminant._lower_gram``, one ``dgemm`` per mode product in
-``tensor_ops``, ``dgesdd`` in ``discriminant._subspace_projector``), so
-that a fit keeps one pool busy instead of two competing for the cores.
+``discriminant._lower_gram``, one ``dgemm`` per first- or last-axis mode
+product in ``tensor_ops``, ``dgesdd`` in
+``discriminant._subspace_projector``), all but the batched mode products
+(``tensor_ops._contract_batched``): numpy's ``matmul`` runs those, in
+slices that wake numpy's pool only for large stacks (README "One BLAS
+pool per fit").
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ holds for every matrix w whose column count matches dimension k.
 
 The package projects stacks of tensors with two routines, one per job.
 Fitting and the public criterion functions need a mode-k unfolding with
-every other mode projected. They lay a stack out once, with the axes
-ordered (modes, sample) (:func:`_mode_layout`), and take every mode
+every other mode projected. The criterion builder lays each stack out
+once, with the axes ordered (modes, sample) (:func:`_stack_layout`, which
+also flattens the samples for a vector method), and every mode is taken
 from its running product: the layout contracted from the first axis
 with the matrices of the modes before k, one more per mode
 (:func:`_contract_first`), then the modes after k by one batched
@@ -143,20 +144,24 @@ def _contract_batched(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(lead + (w.shape[1],) + rest)
 
 
-def _mode_layout(stack: np.ndarray) -> np.ndarray:
-    """The (N, *dims) stack with its axes ordered (modes in order, sample):
-    one C-contiguous copy, the running product that
+def _stack_layout(stack: np.ndarray, flatten: bool = False) -> np.ndarray:
+    """The (N, *dims) stack with its sample axis last. `flatten` makes it
+    a (prod(dims), N) matrix of Fortran-flattened samples, as files and
+    :func:`unfold` flatten them: a view of a stack read in file order,
+    else a copy. Unflattened, a one-mode stack's view serves; two or more
+    modes get one C-contiguous copy, axes (modes, sample), that
     :func:`_contract_first` and :func:`_project_later` contract without
-    copying again. A one-mode stack has nothing to contract, so its
-    transposed view serves."""
+    copying again."""
     layout = np.moveaxis(stack, 0, -1)
+    if flatten:  # an explicit size, since N may be 0
+        return layout.reshape(math.prod(stack.shape[1:]), stack.shape[0], order="F")
     return layout if stack.ndim == 2 else np.ascontiguousarray(layout)
 
 
 def _project_later(product, projections, mode: int) -> np.ndarray:
     """Contract every mode after `mode` of a running product and return
     its (I_mode, M) mode-`mode` unfolding. The running product is a
-    :func:`_mode_layout` contracted by :func:`_contract_first` with
+    :func:`_stack_layout` contracted by :func:`_contract_first` with
     projections[0], .., projections[mode - 1] (none for mode 0), axes
     (I_mode, .., I_{K-1}, sample, d_0, .., d_{mode-1}); each later mode
     lies right behind the ones already contracted and goes by one

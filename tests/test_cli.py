@@ -16,6 +16,7 @@ from mcsda import (
     FitReport,
     LabeledDataset,
     TrainConfig,
+    fit_mcsda,
     load_dataset,
     load_model,
     save_dataset,
@@ -251,6 +252,27 @@ def test_train_single_mode_csda_mcsda_agree(tmp_path):
     w_vec = load_model(tmp_path / "csda").projections[0]
     w_ten = load_model(tmp_path / "mcsda").projections[0]
     assert float(np.max(subspace_angles(w_vec, w_ten))) < 1e-6
+
+
+def test_train_init_is_recorded_and_fits_as_the_library_does(tmp_path):
+    data = make_synth(tmp_path, dims="5x4x3", per_class=12, sigma=1.0, scale=1.0)
+    out = tmp_path / "identity"
+    assert run(
+        "train", "--data", str(data), "--method", "mcsda", "--dims", "2x2x2",
+        "--positive-class", "2", "--init", "identity_slice", "--out", str(out),
+    ) == 0
+    assert json.loads((out / "model.json").read_text())["init"] == "identity_slice"
+    model = load_model(out)
+    assert model.config.init == "identity_slice"
+    loaded = load_dataset(data)
+    want = fit_mcsda(loaded, 2, TrainConfig((2, 2, 2), init="identity_slice"))
+    ones = fit_mcsda(loaded, 2, TrainConfig((2, 2, 2)))
+    assert len(model.projections) == len(want.projections) == 3
+    for k, (got, w) in enumerate(zip(model.projections, want.projections), start=1):
+        assert (out / f"W{k}.bin").is_file()
+        assert np.array_equal(got, w), k
+    # the start moves the fit, so the flag was not ignored
+    assert not all(map(np.array_equal, want.projections, ones.projections))
 
 
 def test_train_nonfinite_dataset_is_runtime_error(tmp_path, capsys):

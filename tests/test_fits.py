@@ -44,7 +44,6 @@ from mcsda import (
 
 from mcsda.discriminant import _subspace_projector
 from mcsda.linalg import _solve_factor
-from mcsda.tensor_ops import _mode_layout
 
 from conftest import random_dataset
 
@@ -831,7 +830,7 @@ def test_objective_trace_is_the_criterion_of_the_returned_projections(
     factored = method == "lda" or (method == "mda" and len(dims) == 1)
     assert solve is (_solve_factor if factored else solve_ratio_trace)
     if factored:
-        factor = mcsda.discriminant._criterion(ds, method, positive)[2].T
+        factor = mcsda.discriminant._criterion(ds, method, positive)[2]
         assert np.array_equal(a, factor)
         a = mcsda.discriminant._gram(factor)
     assert np.array_equal(np.tril(a), np.tril(want.numerator))
@@ -912,8 +911,7 @@ def test_sweep_matches_a_sweep_through_the_public_scatters(rng, method, positive
     ds = separable(rng, dims=dims)
     start = [rng.normal(size=(i, max(1, i // 2))) for i in dims]
     want = _public_sweep(ds, method, positive, start, 0.01)
-    stacks = mcsda.discriminant._criterion(ds, method, positive)[2:]
-    layouts = [_mode_layout(s) for s in stacks]
+    layouts = mcsda.discriminant._criterion(ds, method, positive)[2:]
     ws = [w.copy() for w in start]
     objective = mcsda.discriminant._sweep(layouts, ws, 0.01)
     for k, (got, w) in enumerate(zip(ws, want)):

@@ -25,7 +25,8 @@ from mcsda import (
     multiclass_objective,
     unfold,
 )
-from mcsda.discriminant import _fit, _flatten_samples, _gram, _scatter_pair, _unfoldings
+from mcsda.discriminant import _fit, _gram, _scatter_pair, _unfoldings
+from mcsda.tensor_ops import _stack_layout
 
 from conftest import assert_scatter_valid, random_dataset
 from test_tensor_ops import running_unfoldings
@@ -393,8 +394,8 @@ def _stack_layouts(rng, dims):
     }
 
 
-def _gram_by_matmul(stack, ws, mode):
-    h = _unfoldings(stack, stack, ws, mode)[0]
+def _gram_by_matmul(layout, ws, mode):
+    h = _unfoldings(layout, layout, ws, mode)[0]
     if not (h.flags.c_contiguous or h.flags.f_contiguous):
         # numpy's matmul runs a loop of its own, not BLAS, on a strided
         # operand; compare with the product of its contiguous copy
@@ -405,15 +406,16 @@ def _gram_by_matmul(stack, ws, mode):
 @pytest.mark.parametrize("dims", [(7,), (6, 5), (5, 4, 3)])
 def test_scatter_pair_bit_identical_to_matmul(rng, dims):
     for name, stack in _stack_layouts(rng, dims).items():
-        # no projections: the plain scatters of the flattened (N, P)
-        # stacks that lda and csda pass
-        cases = [(_flatten_samples(stack), (), 0)]
+        # no projections: the plain scatters of the flattened (P, N)
+        # layouts that lda and csda pass
+        cases = [(True, (), 0)]
         ws = random_projections(rng, dims, (2,) * len(dims))
-        cases += [(stack, ws, mode) for mode in range(len(dims))]
-        for case, ws, mode in cases:
-            pair = _scatter_pair(case, case[1::3], ws, mode)
-            want_num = _gram_by_matmul(case, ws, mode)
-            want_den = _gram_by_matmul(case[1::3], ws, mode)
+        cases += [(False, ws, mode) for mode in range(len(dims))]
+        for flatten, ws, mode in cases:
+            num, den = (_stack_layout(s, flatten) for s in (stack, stack[1::3]))
+            pair = _scatter_pair(num, den, ws, mode)
+            want_num = _gram_by_matmul(num, ws, mode)
+            want_den = _gram_by_matmul(den, ws, mode)
             assert np.array_equal(pair.numerator, want_num), (name, mode)
             assert np.array_equal(pair.denominator, want_den), (name, mode)
 
@@ -464,6 +466,7 @@ def test_layout_scatter_matches_einsum(dims, n, layout, data):
         atol = 1e-12 * np.abs(want).max(initial=0.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
         assert np.array_equal(got, got.T)
-        # the public scatter functions lay the stack out per call and
-        # take the same running product: same bits
-        assert np.array_equal(got, _scatter_pair(stack, stack, ws, mode).numerator)
+        # the public scatter functions take the criterion's layout and
+        # the same running product: same bits
+        layout = _stack_layout(stack)
+        assert np.array_equal(got, _scatter_pair(layout, layout, ws, mode).numerator)

@@ -12,10 +12,10 @@ from hypothesis.extra import numpy as hnp
 from mcsda import fold, mode_product, multi_project, unfold
 from mcsda.tensor_ops import (
     _contract_first,
-    _mode_layout,
     _project_chains,
     _project_later,
     _sample_layout,
+    _stack_layout,
 )
 
 
@@ -267,7 +267,7 @@ def running_unfoldings(stack, ws):
     """Every mode's unfolding by the fit's routine, mode by mode: the
     stack's one layout, contracted with the matrices before the mode (one
     more per mode), then the modes after it by batched products."""
-    product = _mode_layout(stack)
+    product = _stack_layout(stack)
     for k in range(len(ws)):
         if k:
             product = _contract_first(product, ws[k - 1])
@@ -329,6 +329,42 @@ def test_projection_routines_match_einsum(dims, n, layouts, slab, data):
         np.testing.assert_allclose(
             multi_project(stack[0], ws), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
         )
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    dims=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    n=st.integers(0, 4),
+    kind=st.sampled_from(["C", "file", "sliced"]),
+    flatten=st.booleans(),
+    data=st.data(),
+)
+def test_stack_layout_puts_the_sample_axis_last(dims, n, kind, flatten, data):
+    # the criterion's layout: the stack with its sample axis last, each
+    # sample Fortran-flattened for a vector method; a view where the
+    # layout lies in memory already, else one contiguous copy
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = len(dims)
+    if kind == "file":  # each sample Fortran-ordered, one after another
+        stack = rng.normal(size=(n, *dims[::-1])).transpose((0, *range(k, 0, -1)))
+    elif kind == "sliced":
+        stack = rng.normal(size=(2 * n, *dims))[::2]
+    else:
+        stack = rng.normal(size=(n, *dims))
+    layout = _stack_layout(stack, flatten)
+    if flatten:
+        size = int(np.prod(dims))
+        want = np.array([s.ravel(order="F") for s in stack]).reshape(n, size).T
+    else:
+        want = np.moveaxis(stack, 0, -1)
+    assert layout.shape == want.shape and np.array_equal(layout, want)
+    view = (flatten and kind == "file") or k == 1
+    if n >= 2:  # an empty or one-sample stack lies in every layout at once
+        assert np.shares_memory(layout, stack) == view
+    if not view:
+        # a flattened copy holds each sample as one contiguous column,
+        # its transpose (N, prod(dims)) C-ordered
+        assert (layout.T if flatten else layout).flags.c_contiguous
 
 
 @pytest.mark.parametrize("dims", [(5, 4), (5, 4, 3), (4, 3, 3, 2), (3, 2, 2, 2, 2)])
