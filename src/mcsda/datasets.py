@@ -11,8 +11,11 @@ On disk a dataset is a directory holding three files:
 Every ``.bin`` array and JSON manifest, of datasets and models alike,
 goes through the one codec here: ``_write_array``, ``_read_array``
 (size-checked before reading), ``_read_json`` (the version must be a
-listed integer) and ``_manifest_entries`` (an entry that is missing or that a
-rule refuses is a format error naming the manifest). The rules cast
+listed integer; text that does not decode is invalid JSON) and
+``_manifest_entries``, the one mapper of manifest entries, ``labels.csv``
+text and ``data.bin`` contents: an entry that is missing, text that does
+not decode or a value that a rule or the container refuses is a format
+error naming its file. The rules cast
 nothing: ``_check_count``, ``_check_real``, ``_check_dims`` and
 ``_check_file_name`` (a plain name in the directory). A stack such as
 ``data.bin`` is one array with the count as its last axis, and
@@ -228,7 +231,7 @@ def _read_json(path: Path, *versions: int) -> dict:
         raise FileNotFoundError(f"{path.parent}: missing {path.name}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable text, too
         raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
     found = doc.get("version") if isinstance(doc, dict) else None
     if type(found) is not int or found not in versions:  # 1.0 and true are not 1
@@ -240,8 +243,9 @@ def _read_json(path: Path, *versions: int) -> dict:
 
 @contextmanager
 def _manifest_entries(path: Path):
-    """Report a missing entry, or one a rule refuses, met in the block as
-    a DatasetFormatError naming `path`; the codec's own errors pass through."""
+    """Report a missing entry, undecodable text or a value a rule refuses,
+    met in the block, as a DatasetFormatError naming `path`; the codec's
+    own errors pass through."""
     try:
         yield
     except DatasetFormatError:
@@ -348,7 +352,8 @@ def _read_manifest(root: Path) -> DatasetManifest:
 def _read_labels(path: Path, count: int, n_classes: int) -> np.ndarray:
     if not path.exists():
         raise FileNotFoundError(f"missing label file {path}")
-    lines = [line.strip() for line in path.read_text().splitlines()]
+    with _manifest_entries(path):  # undecodable text
+        lines = [line.strip() for line in path.read_text().splitlines()]
     rows = [line for line in lines if line]
     if len(rows) != count:
         raise DatasetFormatError(
@@ -383,11 +388,8 @@ def load_dataset(path) -> LabeledDataset:
     stacked = _read_array(data_path, manifest.dims + (manifest.count,))
     samples = np.moveaxis(stacked, -1, 0)
     labels = _read_labels(root / manifest.label_file, manifest.count, manifest.n_classes)
-    try:
+    with _manifest_entries(data_path):  # contents the container rejects, such as a NaN sample
         return LabeledDataset(samples=samples, labels=labels, n_classes=manifest.n_classes)
-    except ValueError as exc:
-        # file contents the container rejects, such as a NaN sample
-        raise DatasetFormatError(f"{data_path}: {exc}") from exc
 
 
 def stratified_split(

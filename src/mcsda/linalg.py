@@ -27,7 +27,6 @@ pool per fit").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -86,12 +85,6 @@ def regularize(s, ridge: float) -> np.ndarray:
     return s + float(ridge) * np.eye(s.shape[0])
 
 
-@lru_cache(maxsize=None)
-def _dsygvx_lwork(n: int) -> int:
-    """The dsygvx workspace ``eigh`` queries; it depends on n alone."""
-    return int(dsygvx_lwork(n, uplo="L")[0])
-
-
 _PIVOT = (
     "Cholesky factorization of the regularized denominator failed at pivot {}; "
     "it is not positive definite"
@@ -106,7 +99,8 @@ def _regularized(a: np.ndarray, b: np.ndarray, d, ridge: float) -> tuple[int, in
         raise ValueError(f"subspace dimension {d} out of range 1..{n}")
     b.flat[:: n + 1] += float(ridge)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("scatter matrices must not contain NaN or inf")
+        # finite samples whose Grams overflowed: a runtime failure, not bad usage
+        raise LinAlgError("scatter matrices must not contain NaN or inf")
     return n, d
 
 
@@ -129,9 +123,10 @@ def solve_ratio_trace(
     the solve's scratch, the ridge goes onto the denominator in place,
     and their contents are undefined after the call, on error too.
 
-    Raises ValueError when d is outside 1..n or either matrix holds NaN
-    or inf, and LinAlgError naming the failing pivot when the
-    regularized denominator is not positive definite.
+    Raises ValueError when d is outside 1..n, and LinAlgError (a
+    ValueError too) when either matrix holds NaN or inf, or naming the
+    failing pivot when the regularized denominator is not positive
+    definite.
     """
     a, b = pair.numerator, pair.denominator
     if not overwrite or np.shares_memory(a, b):
@@ -141,7 +136,7 @@ def solve_ratio_trace(
     n, d = _regularized(a, b, d, ridge)
     values, vectors, _, _, info = dsygvx(
         a, b, itype=1, jobz="V", range="I", uplo="L", il=n - d + 1, iu=n,
-        lwork=_dsygvx_lwork(n), overwrite_a=int(overwrite), overwrite_b=1,
+        lwork=int(dsygvx_lwork(n, uplo="L")[0]), overwrite_a=int(overwrite), overwrite_b=1,
     )
     if info > n:
         # info - n is the order of the leading minor of B that is not

@@ -292,6 +292,21 @@ def test_train_nonfinite_dataset_is_runtime_error(tmp_path, capsys):
     assert "usage error" not in err
 
 
+@pytest.mark.parametrize("method, dims", [("csda", "2"), ("mcsda", "2x2"), ("lda", "1")])
+def test_train_overflowing_scatters_are_runtime_error(tmp_path, capsys, method, dims):
+    # finite samples near 1e160 whose Grams overflow to inf: a numerical
+    # failure of the fit, not bad usage
+    data = make_synth(tmp_path, dims="4x3", classes=2, per_class=20, sigma=1e159, scale=1e160)
+    capsys.readouterr()
+    code = run(
+        "train", "--data", str(data), "--method", method, "--dims", dims,
+        "--positive-class", "1", "--out", str(tmp_path / "m"),
+    )
+    assert code == 1
+    assert_one_error_line_naming(capsys, "scatter matrices must not contain NaN or inf")
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_force_replaces_previous_model_files(tmp_path):
     data = make_synth(tmp_path)
     out = tmp_path / "model"
@@ -1078,6 +1093,23 @@ def test_eval_nonfinite_model_file_is_format_error(tmp_path, capsys, name):
     )
     assert code == 1
     assert_one_error_line_naming(capsys, str(path))
+
+
+@pytest.mark.parametrize("name", ["labels.csv", "manifest.json", "model.json"])
+def test_eval_undecodable_text_file_is_format_error(tmp_path, capsys, name):
+    # a byte that is not UTF-8 fails naming its file, as any other bad content does
+    data = make_synth(tmp_path)
+    models = train_ovr(tmp_path, data)
+    path = (models / "class_2" if name == "model.json" else data) / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    capsys.readouterr()
+    code = run(
+        "eval", "--models", str(models), "--data", str(data),
+        "--task", "verify", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_bench_scores_each_model_repeats_times(tmp_path, monkeypatch):

@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mcsda import fold, mode_product, multi_project, unfold
-from mcsda.tensor_ops import (
-    _contract_first,
-    _project_chains,
-    _project_later,
-    _sample_layout,
-    _stack_layout,
-)
+from mcsda.discriminant import _unfoldings
+from mcsda.tensor_ops import _project_chains, _sample_layout, _stack_layout
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +259,10 @@ def project_by_einsum(stack, ws, skip=None):
 
 
 def running_unfoldings(stack, ws):
-    """Every mode's unfolding by the fit's routine, mode by mode: the
-    stack's one layout, contracted with the matrices before the mode (one
-    more per mode), then the modes after it by batched products."""
-    product = _stack_layout(stack)
-    for k in range(len(ws)):
-        if k:
-            product = _contract_first(product, ws[k - 1])
-        yield _project_later(product, ws, k)
+    """Every mode's unfolding by the program's running product
+    (``discriminant._unfoldings``) of the stack's one layout."""
+    layout = _stack_layout(stack)
+    return [_unfoldings(layout, layout, ws, k)[0] for k in range(len(ws))]
 
 
 def unfolding_by_einsum(stack, ws, k):
