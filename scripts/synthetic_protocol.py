@@ -5,9 +5,14 @@ trains one-vs-rest models per method, and scores the held-out half by
 mean average precision. The table reports mAP mean +/- std across
 repeats and the mean one-vs-rest training time normalized to the
 fastest method. Dims, solver flags, scoring and the report follow
-`mcsda train` and `mcsda eval --task verify`. An unknown method, a
-repeat count below one, and a fraction whose split leaves a class no
-held-out sample are refused before any fit.
+`mcsda train` and `mcsda eval --task verify`, and the report is
+written whole, through the codec's one JSON writer. Refused with exit
+code 2 before any fit: a --report that is a directory (by argparse), and
+with one `usage error:` line an unknown method, a solver flag or
+subspace the fit's rules refuse (--subspace is checked against --dims
+for every method), a repeat count below one, a synthetic spec the
+generator refuses (--classes, --seed, ...), a fraction outside (0, 1)
+and one whose split leaves a class no held-out sample.
 
 Example:
     python3 scripts/synthetic_protocol.py --repeats 3 --fractions 0.25,0.5
@@ -30,9 +35,9 @@ from mcsda import (
     synth_generate,
     verification_report,
 )
-from mcsda.cli import _add_config_flags, _config, _parse_dims, _write_report
-from mcsda.datasets import _check_count
-from mcsda.discriminant import _score_matrix
+from mcsda.cli import _add_config_flags, _config, _parse_dims, _report_path
+from mcsda.datasets import _check_count, _write_json
+from mcsda.discriminant import _projection_shapes, _score_matrix
 
 
 def parse_fractions(text):
@@ -60,6 +65,47 @@ def config_for(method, args):
     return _config(args, sub)
 
 
+def checked_sweep(args):
+    """The (fraction, splits) sweep and the (method, config) pairs, each
+    checked, the methods before any data is drawn; a ValueError otherwise."""
+    configs = []
+    for method in args.methods.split(","):
+        if method not in METHODS:
+            raise ValueError(
+                f"--methods: unknown method {method!r}, expected some of "
+                f"{','.join(sorted(METHODS))}"
+            )
+        cfg = config_for(method, args)
+        _projection_shapes(method, cfg.subspace_dims, args.dims)
+        configs.append((method, cfg))
+    _check_count("--repeats", args.repeats)
+    data = synth_generate(
+        SynthSpec(
+            dims=args.dims,
+            n_classes=args.classes,
+            samples_per_class=args.per_class,
+            class_mean_scale=args.mean_scale,
+            noise_sigma=args.sigma,
+            seed=args.seed,
+        )
+    )
+    sweep = []
+    for fraction in args.fractions:
+        splits = [
+            stratified_split(data, fraction, seed=args.seed + 100 * r)
+            for r in range(args.repeats)
+        ]
+        for _, test in splits:
+            held_out = np.bincount(test.labels, minlength=data.n_classes + 1)[1:]
+            if not held_out.all():
+                raise ValueError(
+                    f"--fractions {fraction} leaves class "
+                    f"{np.argmin(held_out) + 1} no held-out sample"
+                )
+        sweep.append((fraction, splits))
+    return sweep, configs
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", type=_parse_dims, default=(20, 15))
@@ -78,54 +124,17 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     _add_config_flags(parser)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--report", help="optional JSON output path")
+    parser.add_argument("--report", type=_report_path, help="optional JSON output path")
     args = parser.parse_args()
 
-    # the methods and the repeat count are checked before any data is drawn
-    methods = args.methods.split(",")
-    try:
-        for method in methods:
-            if method not in METHODS:
-                raise ValueError(
-                    f"--methods: unknown method {method!r}, expected some of "
-                    f"{','.join(sorted(METHODS))}"
-                )
-        _check_count("--repeats", args.repeats)
+    try:  # every check runs before the first fit
+        sweep, configs = checked_sweep(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    data = synth_generate(
-        SynthSpec(
-            dims=args.dims,
-            n_classes=args.classes,
-            samples_per_class=args.per_class,
-            class_mean_scale=args.mean_scale,
-            noise_sigma=args.sigma,
-            seed=args.seed,
-        )
-    )
-
-    # every split is drawn, and checked, before any fit
-    sweep = []
-    for fraction in args.fractions:
-        splits = [
-            stratified_split(data, fraction, seed=args.seed + 100 * r)
-            for r in range(args.repeats)
-        ]
-        for _, test in splits:
-            held_out = np.bincount(test.labels, minlength=data.n_classes + 1)[1:]
-            if not held_out.all():
-                print(
-                    f"usage error: --fractions {fraction} leaves class "
-                    f"{np.argmin(held_out) + 1} no held-out sample",
-                    file=sys.stderr,
-                )
-                return 2
-        sweep.append((fraction, splits))
 
     rows = []
-    for method in methods:
-        cfg = config_for(method, args)
+    for method, cfg in configs:
         for fraction, splits in sweep:
             maps = []
             seconds = []
@@ -153,7 +162,7 @@ def main():
             f"{m['mean']:.4f} +/- {m['std']:.4f} {t:>9.3f} {t / fastest:>11.2f}"
         )
     if args.report:
-        _write_report(args.report, {"version": 1, "rows": rows})
+        _write_json(args.report, {"version": 1, "rows": rows})
     return 0
 
 

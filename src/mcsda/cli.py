@@ -1,7 +1,8 @@
 """Command line interface: synth, train, eval, bench.
 
 Exit codes: 0 on success, 1 on runtime or numerical failure, 2 on usage
-errors. Set MCSDA_LOG_LEVEL (DEBUG, INFO, ...) for progress logging.
+errors. Set MCSDA_LOG_LEVEL (DEBUG, INFO, ...) for progress logging. Every
+file is written by the codec of :mod:`mcsda.datasets`, JSON by ``_write_json``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .datasets import (
     _check_dims,
     _read_manifest,
     _staged_directory,
+    _write_json,
     load_dataset,
     save_dataset,
     synth_generate,
@@ -68,22 +70,6 @@ def _report_path(text: str) -> str:
     return text
 
 
-def _write_report(path, doc: dict) -> str:
-    """Write `doc` as indented JSON to `path`, making its parent
-    directories, through a sibling temporary file and one rename; returns
-    the JSON text. Every report goes through here."""
-    text = json.dumps(doc, indent=2)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # gone already on success
-    return text
-
-
 def cmd_synth(args) -> int:
     spec = SynthSpec(
         dims=args.dims,
@@ -121,7 +107,7 @@ def cmd_train(args) -> int:
         report = {"version": 1, "method": method, "models": entries}
         for m in models:
             _write_model(m, stage / f"class_{m.positive_class}" if args.one_vs_rest else stage)
-        (stage / "fit_report.json").write_text(json.dumps(report, indent=2) + "\n")
+        _write_json(stage / "fit_report.json", report)
     for entry in entries:
         tag = "" if entry["class"] is None else f" class {entry['class']}"
         print(
@@ -201,7 +187,7 @@ def cmd_eval(args) -> int:
         seconds,
         n_scores / seconds if seconds > 0 else math.inf,
     )
-    print(_write_report(args.report, report.to_json_dict()))
+    print(_write_json(args.report, report.to_json_dict()))
     return 0
 
 
@@ -302,7 +288,7 @@ def cmd_bench(args) -> int:
         "env": _environment(),
     }
     if args.report:
-        _write_report(args.report, result)
+        _write_json(args.report, result)
     print(f"csda   {csda_seconds:10.4f}s  (normalized {ratio:8.2f})")
     print(f"mcsda  {mcsda_seconds:10.4f}s  (normalized {1.0:8.2f})")
     print(

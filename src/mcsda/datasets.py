@@ -8,14 +8,14 @@ On disk a dataset is a directory holding three files:
   flattened with the first index varying fastest (Fortran order).
 * ``labels.csv``: one integer class id per line, 1-based.
 
-Every ``.bin`` array and JSON manifest, of datasets and models alike,
-goes through the one codec here: ``_write_array``, ``_read_array``
-(size-checked before reading), ``_read_json`` (the version must be a
-listed integer; text that does not decode is invalid JSON) and
-``_manifest_entries``, the one mapper of manifest entries, ``labels.csv``
-text and ``data.bin`` contents: an entry that is missing, text that does
-not decode or a value that a rule or the container refuses is a format
-error naming its file. The rules cast
+Every ``.bin`` array and JSON file, of datasets, models and reports
+alike, goes through the one codec here: ``_write_array``, ``_read_array``
+(size-checked before reading), ``_write_json`` (written whole, by one
+rename), ``_read_json`` (the version must be a listed integer; undecodable
+text is invalid JSON) and ``_manifest_entries``, the one mapper of
+manifest entries, ``labels.csv`` text and ``data.bin`` contents: an entry
+that is missing, text that does not decode or a value that a rule or the
+container refuses is a format error naming its file. The rules cast
 nothing: ``_check_count``, ``_check_real``, ``_check_dims`` and
 ``_check_file_name`` (a plain name in the directory). A stack such as
 ``data.bin`` is one array with the count as its last axis, and
@@ -26,9 +26,8 @@ set, writes through ``_staged_directory``: into a fresh hidden sibling
 directory, renamed into place once complete, so a failed save leaves the
 target as it was. ``_check_target`` is its one overwrite rule.
 
-All randomness (splits, synthetic data) goes through numpy's default
-PCG64 ``Generator`` seeded explicitly, so results are reproducible from
-the seed alone.
+All randomness (splits, synthetic data) goes through numpy's default PCG64
+``Generator`` seeded explicitly: results are reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -241,6 +240,22 @@ def _read_json(path: Path, *versions: int) -> dict:
     return doc
 
 
+def _write_json(path, doc: dict) -> str:
+    """Write `doc` as indented JSON to `path`, making its parent
+    directories, through a sibling temporary file and one rename; returns
+    the JSON text. Every JSON file goes through here."""
+    text = json.dumps(doc, indent=2)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already on success
+    return text
+
+
 @contextmanager
 def _manifest_entries(path: Path):
     """Report a missing entry, undecodable text or a value a rule refuses,
@@ -338,7 +353,7 @@ def save_dataset(data: LabeledDataset, path, force: bool = False) -> DatasetMani
     with _staged_directory(Path(path), (MANIFEST_NAME,), "dataset", force) as root:
         _write_array(root / manifest.data_file, np.moveaxis(data.samples, 0, -1))
         (root / manifest.label_file).write_text("".join(f"{int(c)}\n" for c in data.labels))
-        (root / MANIFEST_NAME).write_text(json.dumps(manifest.to_json_dict(), indent=2) + "\n")
+        _write_json(root / MANIFEST_NAME, manifest.to_json_dict())
     return manifest
 
 

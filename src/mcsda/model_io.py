@@ -5,9 +5,9 @@ A saved model is a directory holding ``model.json`` and one
 column-major as little-endian float64. Class-specific models additionally
 store the reference mean as ``mean.bin``; multi-class lda/mda store all
 class means as ``class_means.bin``, one stack with the class as its last
-axis. Every file goes through the codec of :mod:`mcsda.datasets`, so a
-missing or truncated matrix file and a malformed ``model.json`` fail the
-same way a bad dataset does. Round trips are bit exact.
+axis. The codec of :mod:`mcsda.datasets` writes and reads every file,
+``model.json`` by ``_write_json``: a missing or truncated matrix file and
+a malformed ``model.json`` fail as a bad dataset does. Bit exact round trips.
 
 Format v2 stores only what the fit's shape rule cannot derive: no matrix
 shapes, means' dims, parameter count or seed. ``load_model`` takes each
@@ -23,7 +23,6 @@ one unit, over an earlier model or set (``MODEL_OUTPUTS``) only if forced.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from .datasets import (
     _read_json,
     _staged_directory,
     _write_array,
+    _write_json,
 )
 from .discriminant import DiscriminantModel, FitReport, TrainConfig, _projection_shapes
 
@@ -87,7 +87,7 @@ def _write_model(model: DiscriminantModel, root: Path) -> None:
         doc["class_means"] = {"file": "class_means.bin", "count": len(model.class_means)}
     for name, array in files.items():
         _write_array(root / name, array)
-    (root / MODEL_NAME).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(root / MODEL_NAME, doc)
 
 
 def _read_finite(root: Path, entry: dict, shape) -> np.ndarray:

@@ -4,6 +4,7 @@ codes, and the files they leave behind."""
 import json
 import logging
 import math
+import os
 import re
 import sys
 
@@ -41,6 +42,20 @@ def make_synth(tmp_path, name="data", dims="6x5", classes=3, per_class=10,
     return out
 
 
+def written_json(path):
+    """The document in `path`, whose text must be the one JSON writer's:
+    indent-2 JSON and a newline."""
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    return doc
+
+
+def assert_no_tmp(root):
+    """No temporary file of the JSON writer is left under `root`."""
+    assert list(root.rglob("*.tmp")) == []
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -53,9 +68,10 @@ def test_synth_writes_dataset_and_prints_manifest(tmp_path, capsys):
     assert blob["count"] == 30
     assert blob["n_classes"] == 3
     assert blob["dtype"] == "float64-le"
-    assert (out / "manifest.json").exists()
+    assert written_json(out / "manifest.json") == blob
     assert (out / "data.bin").exists()
     assert (out / "labels.csv").exists()
+    assert_no_tmp(tmp_path)
 
 
 def test_synth_same_seed_byte_identical(tmp_path):
@@ -125,11 +141,13 @@ def test_train_lda_smoke(tmp_path, capsys):
     model = load_model(out)
     assert model.method == "lda"
     assert model.projections[0].shape == (30, 2)
-    report = json.loads((out / "fit_report.json").read_text())
+    assert written_json(out / "model.json")["method"] == "lda"
+    report = written_json(out / "fit_report.json")
     assert report["version"] == 1
     assert report["method"] == "lda"
     assert len(report["models"]) == 1
     assert report["models"][0]["iterations_run"] == 1
+    assert_no_tmp(tmp_path)
 
 
 def test_train_vector_method_rejects_tuple_dims(tmp_path, capsys):
@@ -237,8 +255,10 @@ def test_train_one_vs_rest_layout(tmp_path):
         model = load_model(out / f"class_{c}")
         assert model.positive_class == c
         assert model.method == "mcsda"
-    report = json.loads((out / "fit_report.json").read_text())
+        assert written_json(out / f"class_{c}" / "model.json")["positive_class"] == c
+    report = written_json(out / "fit_report.json")
     assert [entry["class"] for entry in report["models"]] == [1, 2, 3]
+    assert_no_tmp(tmp_path)
 
 
 def test_train_single_mode_csda_mcsda_agree(tmp_path):
@@ -496,13 +516,40 @@ def test_eval_verify_separable(tmp_path, capsys):
         "--task", "verify", "--report", str(report_path),
     )
     assert code == 0
-    printed = json.loads(capsys.readouterr().out)
-    stored = json.loads(report_path.read_text())
-    assert printed == stored
+    printed = capsys.readouterr().out
+    assert printed == report_path.read_text()
+    stored = written_json(report_path)
     assert stored["task"] == "verify"
     assert stored["map"] >= 0.99
     assert [e["class"] for e in stored["per_class"]] == [1, 2, 3]
     assert all(e["positives"] == 10 for e in stored["per_class"])
+    assert_no_tmp(tmp_path)
+
+
+def test_eval_failed_report_write_leaves_the_old_report(tmp_path, monkeypatch, capsys):
+    # the rename that puts a report in place fails once: the report
+    # written before stays byte for byte, and no temporary file is left
+    data = make_synth(tmp_path, sigma=0.05, scale=8.0)
+    models = train_ovr(tmp_path, data)
+    report_path = tmp_path / "reports" / "verify.json"
+    argv = ["eval", "--models", str(models), "--data", str(data),
+            "--task", "verify", "--report", str(report_path)]
+    assert run(*argv) == 0
+    before = report_path.read_bytes()
+    real_replace = os.replace
+
+    def fail_once(src, dst):
+        monkeypatch.setattr(os, "replace", real_replace)
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail_once)
+    capsys.readouterr()
+    assert run(*argv[:-3], "classify", "--report", str(report_path)) == 1
+    assert capsys.readouterr().err == "error: rename refused\n"
+    assert os.replace is real_replace  # the failure was met
+    assert report_path.read_bytes() == before
+    assert [p.name for p in report_path.parent.iterdir()] == ["verify.json"]
+    assert_no_tmp(tmp_path)
 
 
 def test_eval_verify_handmade_ranking_fixture(tmp_path):
@@ -549,10 +596,11 @@ def test_eval_classify_separable(tmp_path):
         "--task", "classify", "--report", str(report_path),
     )
     assert code == 0
-    stored = json.loads(report_path.read_text())
+    stored = written_json(report_path)
     assert stored["task"] == "classify"
     assert stored["accuracy"] >= 0.99
     assert len(stored["confusion"]) == 3
+    assert_no_tmp(tmp_path)
 
 
 def test_eval_comma_list_of_model_dirs(tmp_path):
@@ -703,7 +751,8 @@ def test_bench_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "measured ratio csda/mcsda" in out
     assert "parameters: csda 192, mcsda 28" in out
-    stored = json.loads(report_path.read_text())
+    stored = written_json(report_path)
+    assert_no_tmp(tmp_path)
     assert stored["dims"] == [8, 6]
     assert stored["parameter_count_csda"] == 48 * 4
     assert stored["parameter_count_mcsda"] == 8 * 2 + 6 * 2

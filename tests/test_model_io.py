@@ -218,20 +218,20 @@ def test_manifest_written_last(rng, tmp_path, monkeypatch):
 
     model = fitted(rng, "csda")
     written = []
-    real_write, real_write_text = mio._write_array, mio.Path.write_text
+    real_write, real_write_json = mio._write_array, mio._write_json
 
     def record(path, array):
         written.append(path.name)
         real_write(path, array)
 
-    def boom(self, *args, **kwargs):
-        written.append(self.name)
-        if self.name == "model.json":
+    def boom(path, doc):
+        written.append(path.name)
+        if path.name == "model.json":
             raise RuntimeError("disk full")
-        return real_write_text(self, *args, **kwargs)
+        return real_write_json(path, doc)
 
     monkeypatch.setattr(mio, "_write_array", record)
-    monkeypatch.setattr(mio.Path, "write_text", boom)
+    monkeypatch.setattr(mio, "_write_json", boom)
     with pytest.raises(RuntimeError, match="disk full"):
         save_model(model, tmp_path / "m")
     monkeypatch.undo()

@@ -51,3 +51,8 @@ def test_workflow_runs_tier1_at_default_and_one_thread_and_the_smoke_test():
         assert step["run"].strip() == tier1_command(), step["name"]
     assert tier1[1].get("env", {}).get("OPENBLAS_NUM_THREADS") == "1"
     assert any("perfbench/test_smoke.py" in step.get("run", "") for step in steps)
+    setup = [step for step in steps if step.get("uses", "").startswith("actions/setup-python@")]
+    assert len(setup) == 1
+    assert setup[0]["with"]["cache"] == "pip"
+    assert setup[0]["with"]["cache-dependency-path"] == "pyproject.toml"
+    assert (ROOT / setup[0]["with"]["cache-dependency-path"]).is_file()
