@@ -4,15 +4,17 @@ For each train fraction, each repeat draws a fresh stratified split,
 trains one-vs-rest models per method, and scores the held-out half by
 mean average precision. The table reports mAP mean +/- std across
 repeats and the mean one-vs-rest training time normalized to the
-fastest method. Dims, solver flags, scoring and the report follow
-`mcsda train` and `mcsda eval --task verify`, and the report is
-written whole, through the codec's one JSON writer. Refused with exit
-code 2 before any fit: a --report that is a directory (by argparse), and
-with one `usage error:` line an unknown method, a solver flag or
-subspace the fit's rules refuse (--subspace is checked against --dims
-for every method), a repeat count below one, a synthetic spec the
-generator refuses (--classes, --seed, ...), a fraction outside (0, 1)
-and one whose split leaves a class no held-out sample.
+fastest method. Dims, solver flags and the synthetic data follow
+`mcsda train` and `mcsda synth` through the CLI's `_config` and
+`_synth_spec`; each set is evaluated by `mcsda eval`'s own routine,
+`_evaluate`, as `--task verify`; the report is written whole, through
+the codec's one JSON writer. Refused with exit code 2 before any fit:
+a --report that is a directory (by argparse), and with one `usage
+error:` line an unknown method, a solver flag or subspace the fit's
+rules refuse (--subspace is checked against --dims for every method),
+a repeat count below one, a synthetic spec the generator refuses
+(--classes, --seed, ...), a fraction outside (0, 1) and one whose split
+leaves a class no held-out sample.
 
 Example:
     python3 scripts/synthetic_protocol.py --repeats 3 --fractions 0.25,0.5
@@ -23,34 +25,21 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from mcsda import (
-    METHODS,
-    SynthSpec,
-    average_precision,
-    fit_one_vs_rest,
-    stratified_split,
-    summarize_folds,
-    synth_generate,
-    verification_report,
+from mcsda import METHODS, fit_one_vs_rest, stratified_split, summarize_folds, synth_generate
+from mcsda.cli import (
+    _add_config_flags,
+    _config,
+    _evaluate,
+    _parse_dims,
+    _report_path,
+    _synth_spec,
 )
-from mcsda.cli import _add_config_flags, _config, _parse_dims, _report_path
 from mcsda.datasets import _check_count, _write_json
-from mcsda.discriminant import _projection_shapes, _score_matrix
+from mcsda.discriminant import _projection_shapes
 
 
 def parse_fractions(text):
     return tuple(float(p) for p in text.split(","))
-
-
-def evaluate(models, test):
-    """Held-out mAP of a one-vs-rest set, its models in class order."""
-    scores = _score_matrix(models, test.samples)  # one row per model
-    return verification_report({
-        m.positive_class: average_precision(row, test.labels == m.positive_class)
-        for m, row in zip(models, scores)
-    }).mean_ap
 
 
 def config_for(method, args):
@@ -79,16 +68,7 @@ def checked_sweep(args):
         _projection_shapes(method, cfg.subspace_dims, args.dims)
         configs.append((method, cfg))
     _check_count("--repeats", args.repeats)
-    data = synth_generate(
-        SynthSpec(
-            dims=args.dims,
-            n_classes=args.classes,
-            samples_per_class=args.per_class,
-            class_mean_scale=args.mean_scale,
-            noise_sigma=args.sigma,
-            seed=args.seed,
-        )
-    )
+    data = synth_generate(_synth_spec(args))
     sweep = []
     for fraction in args.fractions:
         splits = [
@@ -96,11 +76,11 @@ def checked_sweep(args):
             for r in range(args.repeats)
         ]
         for _, test in splits:
-            held_out = np.bincount(test.labels, minlength=data.n_classes + 1)[1:]
+            held_out = test.class_counts()
             if not held_out.all():
                 raise ValueError(
                     f"--fractions {fraction} leaves class "
-                    f"{np.argmin(held_out) + 1} no held-out sample"
+                    f"{held_out.argmin() + 1} no held-out sample"
                 )
         sweep.append((fraction, splits))
     return sweep, configs
@@ -142,7 +122,7 @@ def main():
                 start = time.perf_counter()
                 models = fit_one_vs_rest(train, method, cfg)
                 seconds.append(time.perf_counter() - start)
-                maps.append(evaluate(models, test))
+                maps.append(_evaluate(models, test, "verify", "held-out split").mean_ap)
             rows.append(
                 {
                     "method": method,

@@ -3,6 +3,8 @@
 Exit codes: 0 on success, 1 on runtime or numerical failure, 2 on usage
 errors. Set MCSDA_LOG_LEVEL (DEBUG, INFO, ...) for progress logging. Every
 file is written by the codec of :mod:`mcsda.datasets`, JSON by ``_write_json``.
+The experiment script shares ``_evaluate``, which checks and scores a
+one-vs-rest set, and ``_config`` and ``_synth_spec``, which read flags.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ from .discriminant import (
     fit_mcsda,
     fit_csda,
     fit_one_vs_rest,
-    parameter_count,
     score_batch,
 )
-from .metrics import average_precision, classification_report, verification_report
+from .metrics import MetricReport, average_precision, classification_report, verification_report
 from .model_io import MODEL_NAME, MODEL_OUTPUTS, _write_model, load_model
 
 logger = logging.getLogger(__name__)
@@ -71,15 +72,7 @@ def _report_path(text: str) -> str:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        dims=args.dims,
-        n_classes=args.classes,
-        samples_per_class=args.per_class,
-        class_mean_scale=args.mean_scale,
-        noise_sigma=args.sigma,
-        seed=args.seed,
-    )
-    data = synth_generate(spec)
+    data = synth_generate(_synth_spec(args))
     manifest = save_dataset(data, args.out, force=args.force)
     print(json.dumps(manifest.to_json_dict()))
     return 0
@@ -135,10 +128,13 @@ def _expand_model_dirs(spec: str) -> list[Path]:
     return paths
 
 
-def cmd_eval(args) -> int:
-    models = [load_model(p) for p in _expand_model_dirs(args.models)]
-    models.sort(key=lambda m: (m.positive_class is None, m.positive_class))
-    data = load_dataset(args.data)
+def _evaluate(models, data, task: str, name) -> MetricReport:
+    """The `task` ("verify" or "classify") report of one-vs-rest `models` on
+    `data`, which errors call `name`. In class order, after every check
+    (a RuntimeError): dims, class-specific models, then for verify one
+    model per class and each positive class present, for classify one
+    model per class 1..n_classes and at least one sample; one scoring pass."""
+    models = sorted(models, key=lambda m: (m.positive_class is None, m.positive_class))
     for model in models:
         if tuple(model.input_dims) != data.dims:
             raise RuntimeError(
@@ -147,10 +143,8 @@ def cmd_eval(args) -> int:
             )
     classes = [model.positive_class for model in models]
     if None in classes:
-        raise RuntimeError(
-            f"{args.task} needs class-specific models (no positive class set)"
-        )
-    if args.task == "verify":
+        raise RuntimeError(f"{task} needs class-specific models (no positive class set)")
+    if task == "verify":
         flags = {c: data.labels == c for c in classes}
         for c in classes:
             if classes.count(c) > 1:
@@ -160,7 +154,7 @@ def cmd_eval(args) -> int:
                 )
             if not flags[c].any():
                 raise RuntimeError(
-                    f"dataset {args.data} has no samples of class {c}, the "
+                    f"dataset {name} has no samples of class {c}, the "
                     f"positive class of a model"
                 )
     elif classes != list(range(1, data.n_classes + 1)):
@@ -168,16 +162,23 @@ def cmd_eval(args) -> int:
             f"classification needs one model per class 1..{data.n_classes}, "
             f"got positive classes {classes}"
         )
-    start = time.perf_counter()
+    elif not data.count:
+        raise RuntimeError(f"dataset {name} has no samples to classify")
     scores = _score_matrix(models, data.samples)  # one row per class, in class order
-    if args.task == "verify":
-        report = verification_report(
+    if task == "verify":
+        return verification_report(
             {c: average_precision(row, flags[c]) for c, row in zip(classes, scores)},
             {c: int(flags[c].sum()) for c in classes},
         )
-    else:
-        # the first maximum, so ties go to the lowest class id
-        report = classification_report(data.labels, np.argmax(scores, axis=0) + 1, data.n_classes)
+    # the first maximum, so ties go to the lowest class id
+    return classification_report(data.labels, np.argmax(scores, axis=0) + 1, data.n_classes)
+
+
+def cmd_eval(args) -> int:
+    models = [load_model(p) for p in _expand_model_dirs(args.models)]
+    data = load_dataset(args.data)
+    start = time.perf_counter()
+    report = _evaluate(models, data, args.task, args.data)
     seconds = time.perf_counter() - start
     n_scores = len(models) * data.count
     logger.info(
@@ -230,21 +231,19 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--n must be even, half of it per class, got {args.n}")
     dims = args.dims
     sub = args.subspace
-    mcsda_parameters = parameter_count("mcsda", dims, sub)
-    per_class = args.n // 2
+    _projection_shapes("mcsda", sub, dims)  # prod(sub) <= prod(dims) then holds for csda
+    ten_cfg = _config(args, sub)
+    vec_cfg = replace(ten_cfg, subspace_dims=math.prod(sub))
     data = synth_generate(
         SynthSpec(
             dims=dims,
             n_classes=2,
-            samples_per_class=per_class,
+            samples_per_class=args.n // 2,
             class_mean_scale=5.0,
             noise_sigma=1.0,
             seed=args.seed,
         )
     )
-    d_vector = math.prod(sub)
-    ten_cfg = _config(args, sub)
-    vec_cfg = replace(ten_cfg, subspace_dims=d_vector)
 
     def median_time(fn):
         """The median wall time of `fn` over the repeats, and its last result."""
@@ -281,8 +280,8 @@ def cmd_bench(args) -> int:
         "ratio_csda_over_mcsda": ratio,
         "predicted_ratio": predicted_ratio,
         "mcsda_iterations_run": mcsda_model.fit_report.iterations_run,
-        "parameter_count_csda": parameter_count("csda", dims, d_vector),
-        "parameter_count_mcsda": mcsda_parameters,
+        "parameter_count_csda": csda_model.fit_report.parameter_count,
+        "parameter_count_mcsda": mcsda_model.fit_report.parameter_count,
         "csda_scores_per_s": csda_scores_per_s,
         "mcsda_scores_per_s": mcsda_scores_per_s,
         "env": _environment(),
@@ -318,6 +317,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _config(args, subspace_dims) -> TrainConfig:
     """The TrainConfig of the flags of :func:`_add_config_flags`."""
     return TrainConfig(subspace_dims, args.reg_lambda, args.max_iter, args.eps)
+
+
+def _synth_spec(args) -> SynthSpec:
+    """The SynthSpec of synth's data flags, which the experiment script shares."""
+    return SynthSpec(
+        args.dims, args.classes, args.per_class, args.mean_scale, args.sigma, args.seed
+    )
 
 
 @functools.cache

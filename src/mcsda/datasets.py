@@ -428,17 +428,10 @@ def stratified_split(
         n_train = math.ceil(fraction * idx.size)
         chosen = rng.permutation(idx)[:n_train]
         train_mask[chosen] = True
-    train = LabeledDataset(
-        samples=data.samples[train_mask],
-        labels=data.labels[train_mask],
-        n_classes=data.n_classes,
+    return tuple(
+        LabeledDataset(data.samples[mask], data.labels[mask], data.n_classes)
+        for mask in (train_mask, ~train_mask)
     )
-    test = LabeledDataset(
-        samples=data.samples[~train_mask],
-        labels=data.labels[~train_mask],
-        n_classes=data.n_classes,
-    )
-    return train, test
 
 
 def synth_generate(spec: SynthSpec) -> LabeledDataset:

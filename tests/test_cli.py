@@ -1114,17 +1114,27 @@ def test_bench_times_fits_and_scoring_by_the_median(tmp_path, monkeypatch):
 
 
 def test_eval_verify_dataset_without_a_positive_class(tmp_path, capsys):
+    # every check runs before scoring: a dataset missing a positive class,
+    # or with no sample at all (for classify too), is refused naming it,
+    # and no report is written
     data = make_synth(tmp_path, "three", classes=3)
     two = make_synth(tmp_path, "two", classes=2)
+    empty = tmp_path / "empty"
+    save_dataset(LabeledDataset(np.zeros((0, 6, 5)), np.zeros(0, int), 3), empty)
     models = train_ovr(tmp_path, data)
-    capsys.readouterr()
-    code = run(
-        "eval", "--models", str(models), "--data", str(two),
-        "--task", "verify", "--report", str(tmp_path / "r.json"),
-    )
-    assert code == 1
-    assert_one_error_line_naming(capsys, f"dataset {two} has no samples of class 3")
-    assert not (tmp_path / "r.json").exists()
+    for task, dataset, message in [
+        ("verify", two, "has no samples of class 3"),
+        ("verify", empty, "has no samples of class 1"),
+        ("classify", empty, "has no samples to classify"),
+    ]:
+        capsys.readouterr()
+        code = run(
+            "eval", "--models", str(models), "--data", str(dataset),
+            "--task", task, "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert_one_error_line_naming(capsys, f"dataset {dataset} {message}")
+        assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("name", ["W1.bin", "mean.bin"])

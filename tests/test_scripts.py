@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from mcsda import SynthSpec, save_dataset, stratified_split, synth_generate
+from mcsda.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -42,6 +45,25 @@ def test_synthetic_protocol(tmp_path):
         assert 0.0 <= row["map"]["mean"] <= 1.0
         assert row["train_seconds"]["mean"] > 0
 
+
+def test_synthetic_protocol_reports_what_mcsda_eval_reports(tmp_path):
+    # non-separable clusters, so the mAP is below 1; the script's one split
+    # (seed 0, repeat 0) is rebuilt, trained and scored by the command line
+    flags = ["--dims", "6x5", "--classes", "3", "--per-class", "10", "--mean-scale", "1",
+             "--sigma", "2", "--subspace", "2x2", "--methods", "mcsda", "--repeats", "1",
+             "--fractions", "0.5"]
+    (row,) = run_script("synthetic_protocol.py", *flags, report=tmp_path / "out" / "p.json")
+    data = synth_generate(SynthSpec((6, 5), 3, 10, class_mean_scale=1.0, noise_sigma=2.0))
+    for name, half in zip(("train", "test"), stratified_split(data, 0.5, seed=0)):
+        save_dataset(half, tmp_path / name)
+    assert main(["train", "--data", str(tmp_path / "train"), "--method", "mcsda", "--dims",
+                 "2x2", "--one-vs-rest", "--out", str(tmp_path / "models")]) == 0
+    report = tmp_path / "verify.json"
+    assert main(["eval", "--models", str(tmp_path / "models"), "--data", str(tmp_path / "test"),
+                 "--task", "verify", "--report", str(report)]) == 0
+    expected = json.loads(report.read_text())["map"]
+    assert expected < 1.0
+    assert abs(row["map"]["mean"] - expected) <= 1e-12
 
 
 def test_synthetic_protocol_refuses_a_split_with_no_held_out_sample(tmp_path):

@@ -44,6 +44,7 @@ def tier1_command():
 def test_workflow_runs_tier1_at_default_and_one_thread_and_the_smoke_test():
     yaml = pytest.importorskip("yaml")
     doc = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    assert doc["permissions"] == {"contents": "read"}  # least privilege, for every job
     steps = [step for job in doc["jobs"].values() for step in job["steps"]]
     tier1 = [step for step in steps if step.get("name", "").startswith("Tier-1")]
     assert len(tier1) == 2
