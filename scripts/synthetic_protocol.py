@@ -12,8 +12,9 @@ the codec's one JSON writer. Refused with exit code 2 before any fit:
 a --report that is a directory (by argparse), and with one `usage
 error:` line an unknown method, a solver flag or subspace the fit's
 rules refuse (--subspace is checked against --dims for every method),
-a repeat count below one, a synthetic spec the generator refuses
-(--classes, --seed, ...), a fraction outside (0, 1) and one whose split
+fewer than two classes (--classes 1, by the same rule), a repeat count
+below one, a synthetic spec the generator refuses (--seed,
+--per-class, ...), a fraction outside (0, 1) and one whose split
 leaves a class no held-out sample.
 
 Example:
@@ -65,7 +66,7 @@ def checked_sweep(args):
                 f"{','.join(sorted(METHODS))}"
             )
         cfg = config_for(method, args)
-        _projection_shapes(method, cfg.subspace_dims, args.dims)
+        _projection_shapes(method, cfg.subspace_dims, args.dims, args.classes, 1)
         configs.append((method, cfg))
     _check_count("--repeats", args.repeats)
     data = synth_generate(_synth_spec(args))

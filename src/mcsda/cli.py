@@ -79,15 +79,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    """Check --dims against the dataset's manifest by the fit's shape rule
-    before data.bin is read, then fit and write the models and
-    fit_report.json in one stage; entering it checks --out."""
+    """Check --dims and the class rules (class 1 stands for each class under
+    --one-vs-rest) against the manifest by the fit's shape rule before
+    data.bin is read, then fit and write the models and fit_report.json in
+    one stage; entering it checks --out."""
     method = args.method
     if method in _CLASS_SPECIFIC and args.positive_class is None and not args.one_vs_rest:
         raise ValueError(f"{method} is class-specific: pass --positive-class or --one-vs-rest")
     subspace_dims = args.dims[0] if len(args.dims) == 1 else args.dims
     config = replace(_config(args, subspace_dims), init=args.init)
-    _projection_shapes(method, config.subspace_dims, _read_manifest(Path(args.data)).dims)
+    manifest = _read_manifest(Path(args.data))
+    positive = 1 if args.one_vs_rest else args.positive_class
+    _projection_shapes(method, config.subspace_dims, manifest.dims, manifest.n_classes, positive)
     data = load_dataset(args.data)
     with _staged_directory(Path(args.out), MODEL_OUTPUTS, "model", args.force) as stage:
         models = (

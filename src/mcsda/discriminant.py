@@ -7,10 +7,10 @@ the sample axis last and flattened for the vector methods
 (``tensor_ops._stack_layout``). ``_projection_shapes`` is the one shape
 rule: one (prod(I_k), d) matrix for a vector method, one (I_k, d_k) per
 mode for a tensor method, as the fits, ``load_model`` and
-``parameter_count`` take them. The engine runs Gauss-Seidel sweeps of
-per-mode regularized ratio-trace eigensolves over the layouts, from an
-all-ones initialization until the summed projector distance between
-consecutive sweeps drops to `eps`.
+``parameter_count`` take them, and for a fit the class rules. The engine
+runs Gauss-Seidel sweeps of per-mode regularized ratio-trace eigensolves
+over the layouts, from an all-ones initialization until the summed
+projector distance between consecutive sweeps drops to `eps`.
 Every mode starts from each stack's running product with the matrices
 solved before it in the sweep. Every solve gets the lower-triangle
 scatters that LAPACK reads, as its own scratch: a vector fit holds its
@@ -437,14 +437,20 @@ def convergence_metric(prev, curr) -> float:
 # fitting
 
 
-def _projection_shapes(method: str, subspace_dims, dims):
+def _projection_shapes(method: str, subspace_dims, dims, n_classes=None, positive=None):
     """The one shape rule of fits, model files and parameter counts: the
     model's `subspace_dims`, as a `TrainConfig` holds them, and the (rows,
     cols) of every projection matrix: one (prod(dims), d), d within
     1..prod(dims), for vector methods, one (I_k, d_k) per mode, d_k within
-    1..I_k, for tensor methods."""
+    1..I_k, for tensor methods. A fit's `n_classes` and `positive` add
+    the class rules: two classes or more, `positive` (if given) within
+    1..n_classes, and lda's d <= C - 1, C = 2 against the rest."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if n_classes is not None and _check_count("n_classes", n_classes) < 2:
+        raise ValueError(f"{method} needs at least two classes")
+    if positive is not None and not 1 <= _check_integer("positive class", positive) <= n_classes:
+        raise ValueError(f"positive class {positive} outside 1..{n_classes}")
     sub = subspace_dims if isinstance(subspace_dims, tuple) else (subspace_dims,)
     if method in VECTOR_METHODS:
         if len(sub) != 1:
@@ -452,6 +458,10 @@ def _projection_shapes(method: str, subspace_dims, dims):
         (d,), size = sub, math.prod(dims)
         if d > size:  # d >= 1 by the config's count rule; the text is the solver's
             raise ValueError(f"subspace dimension {d} out of range 1..{size}")
+        cap = math.inf if n_classes is None else (n_classes if positive is None else 2) - 1
+        if method == "lda" and d > cap:  # the between-class scatter has rank at most C - 1
+            problem = "" if positive is None else ", the cap of the positive-vs-rest problem"
+            raise ValueError(f"lda subspace dimension {d} exceeds n_classes - 1 = {cap}{problem}")
         return d, [(size, d)]
     if len(sub) != len(dims):
         raise ValueError(f"need one subspace dimension per mode: got {sub} for dims {dims}")
@@ -517,7 +527,7 @@ def _fit(
     class (csda/mcsda need one; lda/mda train the binary positive-vs-rest
     problem with one and the multi-class criterion without).
 
-    Takes every projection's shape from the one shape rule
+    Takes every projection's shape and class rule from the shape rule
     (:func:`_projection_shapes`) and the criterion's two layouts from
     :func:`_criterion`. Two or more modes run Gauss-Seidel sweeps of
     per-mode eigensolves (:func:`_alternate`). The one one-mode branch
@@ -527,19 +537,10 @@ def _fit(
     :func:`_sweep`.
     """
     start = time.perf_counter()
-    subspace, shapes = _projection_shapes(method, config.subspace_dims, data.dims)
+    subspace, shapes = _projection_shapes(
+        method, config.subspace_dims, data.dims, data.n_classes, positive
+    )
     reference_mean, class_means, *layouts = _criterion(data, method, positive)
-    if class_means is not None:
-        n_classes = len(class_means)
-        if n_classes < 2:
-            raise ValueError(f"{method} needs at least two classes")
-        # the between-class scatter has rank at most C - 1
-        if method == "lda" and subspace > n_classes - 1:
-            problem = "" if positive is None else ", the cap of the positive-vs-rest problem"
-            raise ValueError(
-                f"lda subspace dimension {subspace} exceeds n_classes - 1 = "
-                f"{n_classes - 1}{problem}"
-            )
     ones = config.init == "ones"
     ws = [np.ones(shape) if ones else np.eye(*shape) for shape in shapes]
     if len(ws) > 1:
@@ -553,10 +554,11 @@ def _fit(
             objective = _sweep(layouts, ws, config.reg_lambda)
         objective_trace, convergence_trace, converged = [objective], [0.0], True
     if not converged:
+        problem = "the multi-class problem" if positive is None else f"positive class {positive}"
         logger.warning(
-            "%s fit for positive class %s did not converge: %d sweeps "
-            "(max_iter) ended at distance %.3g > eps %.3g",
-            method, positive, len(convergence_trace), convergence_trace[-1], config.eps,
+            "%s fit for %s did not converge: %d sweeps (max_iter) ended at distance "
+            "%.3g > eps %.3g",
+            method, problem, len(convergence_trace), convergence_trace[-1], config.eps,
         )
     report = FitReport(
         objective_trace=objective_trace,

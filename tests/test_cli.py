@@ -200,6 +200,36 @@ def test_train_wrapped_lda_cap_names_the_positive_vs_rest_problem(tmp_path, caps
     )
 
 
+@pytest.mark.parametrize(
+    "classes, flags, message",
+    [
+        (3, ["--method", "lda", "--dims", "2", "--one-vs-rest"],
+         "lda subspace dimension 2 exceeds n_classes - 1 = 1, the cap of the "
+         "positive-vs-rest problem"),
+        (3, ["--method", "lda", "--dims", "3"],
+         "lda subspace dimension 3 exceeds n_classes - 1 = 2"),
+        (3, ["--method", "mcsda", "--dims", "2x2", "--positive-class", "5"],
+         "positive class 5 outside 1..3"),
+        (1, ["--method", "mda", "--dims", "2x2"], "mda needs at least two classes"),
+        (1, ["--method", "mcsda", "--dims", "2x2", "--one-vs-rest"],
+         "mcsda needs at least two classes"),
+    ],
+    ids=["wrapped_lda_cap", "lda_cap", "positive_out_of_range", "one_class_mda",
+         "one_class_ovr_mcsda"],
+)
+def test_train_checks_the_class_rules_before_reading_data(tmp_path, capsys, classes, flags,
+                                                          message):
+    # data.bin is cut short, so reading it would fail as a format error (exit 1)
+    data = make_synth(tmp_path, classes=classes)
+    blob = data / "data.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    capsys.readouterr()
+    code = run("train", "--data", str(data), *flags, "--out", str(tmp_path / "m"))
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]  # no --out, no stage
+
+
 def test_train_class_specific_needs_positive(tmp_path, capsys):
     data = make_synth(tmp_path)
     for method in ("csda", "mcsda"):

@@ -568,6 +568,21 @@ def test_fit_class_specific_lda_binary_cap(rng):
         fit_class_specific(ds, "lda", 1, TrainConfig(subspace_dims=2))
 
 
+def test_fit_refuses_by_the_class_rules_before_building_its_criterion(rng, monkeypatch):
+    # the class count decides the cap, so a refused fit copies no sample
+    ds = separable(rng, dims=(5,), n_classes=3, per_class=10)
+
+    def no_criterion(*args):
+        raise AssertionError("the fit built its criterion before checking the class rules")
+
+    monkeypatch.setattr(mcsda.discriminant, "_criterion", no_criterion)
+    with pytest.raises(ValueError, match=(
+        r"^lda subspace dimension 2 exceeds n_classes - 1 = 1, "
+        r"the cap of the positive-vs-rest problem$"
+    )):
+        fit_class_specific(ds, "lda", 1, TrainConfig(2))
+
+
 def test_fit_class_specific_unknown_method(rng):
     ds = separable(rng, dims=(4,), n_classes=2, per_class=5)
     with pytest.raises(ValueError, match="unknown method"):
@@ -730,15 +745,22 @@ def test_wrap_builds_binary_model(rng, method, dims, sub):
     assert np.array_equal(model.reference_mean, model.class_means[0])
 
 
-def test_nonconvergence_logged_as_warning(rng, caplog):
+@pytest.mark.parametrize(
+    "method, positive, problem",
+    [("mcsda", 2, "positive class 2"), ("mda", None, "the multi-class problem")],
+    ids=["class_specific", "multi_class"],
+)
+def test_nonconvergence_logged_as_warning(rng, caplog, method, positive, problem):
     ds = separable(rng, dims=(6, 5), n_classes=3, per_class=10)
     with caplog.at_level(logging.WARNING, logger="mcsda.discriminant"):
-        model = fit_mcsda(ds, 2, TrainConfig(subspace_dims=(2, 2), max_iter=1))
+        model = mcsda.discriminant._fit(
+            ds, method, positive, TrainConfig(subspace_dims=(2, 2), max_iter=1)
+        )
     assert not model.fit_report.converged
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     message = warnings[0].getMessage()
-    assert "mcsda fit for positive class 2 did not converge" in message
+    assert f"{method} fit for {problem} did not converge" in message
     assert "1 sweeps" in message
     assert f"{model.fit_report.convergence_trace[-1]:.3g} > eps 1e-05" in message
 
@@ -749,6 +771,37 @@ def test_converged_fit_logs_no_warning(rng, caplog):
         model = fit_mcsda(ds, 1, TrainConfig(subspace_dims=2, max_iter=10))
     assert model.fit_report.converged
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+# ---------------------------------------------------------------------------
+# invariances: the criteria are defined by the class structure of the
+# scatters, so a transform that keeps it keeps the fitted spans
+
+
+def assert_spans_ignore_sample_order_and_class_ids(ds, method, positive, config, rng):
+    """Fitting `ds` with its samples permuted and its class ids relabelled,
+    the positive class following, gives every mode the same span to 1e-8 rad."""
+    order = rng.permutation(ds.count)
+    ids = rng.permutation(ds.n_classes) + 1  # class c is called ids[c - 1]
+    moved = LabeledDataset(ds.samples[order], ids[ds.labels[order] - 1], ds.n_classes)
+    want = fit_class_specific(ds, method, positive, config).projections
+    got = fit_class_specific(moved, method, int(ids[positive - 1]), config).projections
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(want, got)):
+        assert max_angle(a, b) < 1e-8, (method, k)
+
+
+# binary mda is left out: a change at rounding level, such as a new
+# summation order, moves its spans by up to 1.5 rad, from the all-ones
+# start and, with one mode, in the null space of its rank-one numerator
+@pytest.mark.parametrize("dims", [(6,), (5, 4), (4, 3, 3)], ids=["K1", "K2", "K3"])
+@pytest.mark.parametrize("method", ["lda", "csda", "mcsda"])
+def test_spans_ignore_sample_order_and_class_ids(method, dims):
+    sub = {"lda": 1, "csda": 2, "mcsda": (2,) * len(dims)}[method]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        ds = separable(rng, dims=dims, n_classes=3, per_class=8)
+        assert_spans_ignore_sample_order_and_class_ids(ds, method, 2, TrainConfig(sub), rng)
 
 
 def _binary(ds, positive):

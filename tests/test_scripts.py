@@ -90,6 +90,7 @@ def test_synthetic_protocol_refuses_a_split_with_no_held_out_sample(tmp_path):
         (["--repeats", "0"], "usage error: --repeats must be >= 1, got 0"),
         (["--fractions", "1.5"], "usage error: fraction must lie strictly in (0, 1), got 1.5"),
         (["--classes", "0"], "usage error: n_classes must be >= 1, got 0"),
+        (["--classes", "1"], "usage error: csda needs at least two classes"),
         (["--lambda", "-1"], "usage error: reg_lambda must be finite and >= 0, got -1.0"),
         (["--seed", "-1"], "usage error: seed must be >= 0, got -1"),
         # csda's 7 of 30 passes; mcsda's 7 for a mode of 6 is refused before csda fits
@@ -98,7 +99,7 @@ def test_synthetic_protocol_refuses_a_split_with_no_held_out_sample(tmp_path):
         (["--report", "{tmp}"],
          "synthetic_protocol.py: error: argument --report: '{tmp}' is a directory"),
     ],
-    ids=["unknown_method", "no_repeats", "fraction_above_one", "no_classes",
+    ids=["unknown_method", "no_repeats", "fraction_above_one", "no_classes", "one_class",
          "negative_lambda", "negative_seed", "subspace_beyond_dims", "report_is_a_directory"],
 )
 def test_synthetic_protocol_refuses_bad_methods_and_repeats(tmp_path, args, message):

@@ -1,6 +1,7 @@
 """Static checks of the CI workflow and of the command lines README
 documents: both should keep up with the code and with ROADMAP."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -57,3 +58,17 @@ def test_workflow_runs_tier1_at_default_and_one_thread_and_the_smoke_test():
     assert setup[0]["with"]["cache"] == "pip"
     assert setup[0]["with"]["cache-dependency-path"] == "pyproject.toml"
     assert (ROOT / setup[0]["with"]["cache-dependency-path"]).is_file()
+
+
+def test_sources_parse_at_the_oldest_python_the_package_declares():
+    # a newer interpreter accepts newer syntax; parsing at the oldest
+    # declared version refuses it (except* is 3.11), as that version would
+    text = (ROOT / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, flags=re.M)
+    version = tuple(map(int, found.groups()))
+    paths = [p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)
