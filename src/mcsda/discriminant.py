@@ -444,7 +444,7 @@ def _projection_shapes(method: str, subspace_dims, dims, n_classes=None, positiv
     1..prod(dims), for vector methods, one (I_k, d_k) per mode, d_k within
     1..I_k, for tensor methods. A fit's `n_classes` and `positive` add
     the class rules: two classes or more, `positive` (if given) within
-    1..n_classes, and lda's d <= C - 1, C = 2 against the rest."""
+    1..n_classes, and d <= C - 1, C = 2 against the rest, for lda and one-mode mda."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if n_classes is not None and _check_count("n_classes", n_classes) < 2:
@@ -458,17 +458,20 @@ def _projection_shapes(method: str, subspace_dims, dims, n_classes=None, positiv
         (d,), size = sub, math.prod(dims)
         if d > size:  # d >= 1 by the config's count rule; the text is the solver's
             raise ValueError(f"subspace dimension {d} out of range 1..{size}")
-        cap = math.inf if n_classes is None else (n_classes if positive is None else 2) - 1
-        if method == "lda" and d > cap:  # the between-class scatter has rank at most C - 1
-            problem = "" if positive is None else ", the cap of the positive-vs-rest problem"
-            raise ValueError(f"lda subspace dimension {d} exceeds n_classes - 1 = {cap}{problem}")
-        return d, [(size, d)]
-    if len(sub) != len(dims):
-        raise ValueError(f"need one subspace dimension per mode: got {sub} for dims {dims}")
-    for k, (d, full) in enumerate(zip(sub, dims)):
-        if d > full:  # d >= 1 by the config's dims rule
-            raise ValueError(f"subspace dimension {d} for mode {k} outside 1..{full}")
-    return sub, list(zip(dims, sub))
+        subspace, shapes = d, [(size, d)]
+    else:
+        if len(sub) != len(dims):
+            raise ValueError(f"need one subspace dimension per mode: got {sub} for dims {dims}")
+        for k, (d, full) in enumerate(zip(sub, dims)):
+            if d > full:  # d >= 1 by the config's dims rule
+                raise ValueError(f"subspace dimension {d} for mode {k} outside 1..{full}")
+        subspace, shapes = sub, list(zip(dims, sub))
+    cap = math.inf if n_classes is None else (n_classes if positive is None else 2) - 1
+    (_, d), *more = shapes  # the between-class scatter has rank at most C - 1
+    if method not in _CLASS_SPECIFIC and not more and d > cap:
+        problem = "" if positive is None else ", the cap of the positive-vs-rest problem"
+        raise ValueError(f"{method} subspace dimension {d} exceeds n_classes - 1 = {cap}{problem}")
+    return subspace, shapes
 
 
 def _sweep(layouts, ws, ridge: float) -> float:
@@ -532,9 +535,9 @@ def _fit(
     :func:`_criterion`. Two or more modes run Gauss-Seidel sweeps of
     per-mode eigensolves (:func:`_alternate`). The one one-mode branch
     (vector methods, whose layouts are flattened, and one-mode mda/mcsda)
-    solves the joint pencil once, as one converged sweep: through the C
-    columns of lda/mda's numerator when d <= C, else by one
-    :func:`_sweep`.
+    solves the joint pencil once, as one converged sweep: lda/mda through
+    the C columns of their numerator (d <= C - 1 by the shape rule),
+    csda/mcsda by one :func:`_sweep`.
     """
     start = time.perf_counter()
     subspace, shapes = _projection_shapes(
@@ -546,8 +549,8 @@ def _fit(
     if len(ws) > 1:
         objective_trace, convergence_trace, converged = _alternate(layouts, ws, config)
     else:
-        d = ws[0].shape[1]
-        if class_means is not None and d <= len(class_means):
+        if class_means is not None:
+            d = ws[0].shape[1]
             ws[0] = _solve_factor(layouts[0], _lower_gram(layouts[1]), d, config.reg_lambda).vectors
             objective = _ratio(layouts, ws[0])
         else:

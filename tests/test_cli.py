@@ -201,26 +201,32 @@ def test_train_wrapped_lda_cap_names_the_positive_vs_rest_problem(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "classes, flags, message",
+    "dims, classes, flags, message",
     [
-        (3, ["--method", "lda", "--dims", "2", "--one-vs-rest"],
+        ("6x5", 3, ["--method", "lda", "--dims", "2", "--one-vs-rest"],
          "lda subspace dimension 2 exceeds n_classes - 1 = 1, the cap of the "
          "positive-vs-rest problem"),
-        (3, ["--method", "lda", "--dims", "3"],
+        ("6x5", 3, ["--method", "lda", "--dims", "3"],
          "lda subspace dimension 3 exceeds n_classes - 1 = 2"),
-        (3, ["--method", "mcsda", "--dims", "2x2", "--positive-class", "5"],
+        # one-mode mda is lda's criterion and takes lda's cap
+        ("6", 3, ["--method", "mda", "--dims", "2", "--one-vs-rest"],
+         "mda subspace dimension 2 exceeds n_classes - 1 = 1, the cap of the "
+         "positive-vs-rest problem"),
+        ("6", 3, ["--method", "mda", "--dims", "3"],
+         "mda subspace dimension 3 exceeds n_classes - 1 = 2"),
+        ("6x5", 3, ["--method", "mcsda", "--dims", "2x2", "--positive-class", "5"],
          "positive class 5 outside 1..3"),
-        (1, ["--method", "mda", "--dims", "2x2"], "mda needs at least two classes"),
-        (1, ["--method", "mcsda", "--dims", "2x2", "--one-vs-rest"],
+        ("6x5", 1, ["--method", "mda", "--dims", "2x2"], "mda needs at least two classes"),
+        ("6x5", 1, ["--method", "mcsda", "--dims", "2x2", "--one-vs-rest"],
          "mcsda needs at least two classes"),
     ],
-    ids=["wrapped_lda_cap", "lda_cap", "positive_out_of_range", "one_class_mda",
-         "one_class_ovr_mcsda"],
+    ids=["wrapped_lda_cap", "lda_cap", "wrapped_one_mode_mda_cap", "one_mode_mda_cap",
+         "positive_out_of_range", "one_class_mda", "one_class_ovr_mcsda"],
 )
-def test_train_checks_the_class_rules_before_reading_data(tmp_path, capsys, classes, flags,
-                                                          message):
+def test_train_checks_the_class_rules_before_reading_data(tmp_path, capsys, dims, classes,
+                                                          flags, message):
     # data.bin is cut short, so reading it would fail as a format error (exit 1)
-    data = make_synth(tmp_path, classes=classes)
+    data = make_synth(tmp_path, dims=dims, classes=classes)
     blob = data / "data.bin"
     blob.write_bytes(blob.read_bytes()[:-8])
     capsys.readouterr()

@@ -3,6 +3,7 @@ bookkeeping, fixed-point self-consistency, and scoring."""
 
 import logging
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -569,18 +570,25 @@ def test_fit_class_specific_lda_binary_cap(rng):
 
 
 def test_fit_refuses_by_the_class_rules_before_building_its_criterion(rng, monkeypatch):
-    # the class count decides the cap, so a refused fit copies no sample
+    # the class count decides the cap, so a refused fit copies no sample;
+    # one-mode mda is lda's criterion, one matrix, so lda's cap holds
     ds = separable(rng, dims=(5,), n_classes=3, per_class=10)
 
     def no_criterion(*args):
         raise AssertionError("the fit built its criterion before checking the class rules")
 
     monkeypatch.setattr(mcsda.discriminant, "_criterion", no_criterion)
-    with pytest.raises(ValueError, match=(
-        r"^lda subspace dimension 2 exceeds n_classes - 1 = 1, "
-        r"the cap of the positive-vs-rest problem$"
-    )):
-        fit_class_specific(ds, "lda", 1, TrainConfig(2))
+    wrapped = "the cap of the positive-vs-rest problem"
+    for fit, message in [
+        (lambda: fit_class_specific(ds, "lda", 1, TrainConfig(2)),
+         f"lda subspace dimension 2 exceeds n_classes - 1 = 1, {wrapped}"),
+        (lambda: fit_mda(ds, TrainConfig((3,))),
+         "mda subspace dimension 3 exceeds n_classes - 1 = 2"),
+        (lambda: fit_class_specific(ds, "mda", 1, TrainConfig((2,))),
+         f"mda subspace dimension 2 exceeds n_classes - 1 = 1, {wrapped}"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit()
 
 
 def test_fit_class_specific_unknown_method(rng):
@@ -672,7 +680,7 @@ def test_parameter_count_through_fits(rng):
         fit_csda(ds, 1, TrainConfig(subspace_dims=3)),
         fit_mda(ds, TrainConfig(subspace_dims=(2, 3), max_iter=3)),
         fit_mcsda(ds, 1, TrainConfig(subspace_dims=(3, 2), max_iter=3)),
-        fit_mda(flat, TrainConfig(subspace_dims=(4,))),
+        fit_mda(flat, TrainConfig(subspace_dims=(2,))),
     ):
         assert model.fit_report.parameter_count == sum(w.size for w in model.projections)
 
@@ -791,13 +799,17 @@ def assert_spans_ignore_sample_order_and_class_ids(ds, method, positive, config,
         assert max_angle(a, b) < 1e-8, (method, k)
 
 
-# binary mda is left out: a change at rounding level, such as a new
-# summation order, moves its spans by up to 1.5 rad, from the all-ones
-# start and, with one mode, in the null space of its rank-one numerator
-@pytest.mark.parametrize("dims", [(6,), (5, 4), (4, 3, 3)], ids=["K1", "K2", "K3"])
-@pytest.mark.parametrize("method", ["lda", "csda", "mcsda"])
+# binary mda at K >= 2 is left out: a change at rounding level, such as
+# a new summation order, moves its spans by up to 1.5 rad from the
+# all-ones start; at K = 1 it is lda's criterion, capped at d = 1
+@pytest.mark.parametrize(
+    "method, dims",
+    [(m, dims) for m in ("lda", "csda", "mcsda") for dims in [(6,), (5, 4), (4, 3, 3)]]
+    + [("mda", (6,))],
+    ids=lambda value: value if isinstance(value, str) else f"K{len(value)}",
+)
 def test_spans_ignore_sample_order_and_class_ids(method, dims):
-    sub = {"lda": 1, "csda": 2, "mcsda": (2,) * len(dims)}[method]
+    sub = {"lda": 1, "mda": (1,), "csda": 2, "mcsda": (2,) * len(dims)}[method]
     for seed in range(5):
         rng = np.random.default_rng(seed)
         ds = separable(rng, dims=dims, n_classes=3, per_class=8)
@@ -866,8 +878,8 @@ def test_objective_trace_is_the_criterion_of_the_returned_projections(
     for solve in (solve_ratio_trace, _solve_factor):
         monkeypatch.setattr(mcsda.discriminant, solve.__name__, recording(solve))
     ds = separable(rng, dims=dims, n_classes=3, per_class=8)
-    if method == "lda":
-        sub = 1 if positive else 2  # at most C - 1
+    if method == "lda" or (method == "mda" and len(dims) == 1):
+        sub = 1 if positive else 2  # at most C - 1, one-mode mda's cap too
     else:
         sub = 3 if method == "csda" else (2,) * len(dims)
     model = _fit_engine(ds, method, positive, sub, max_iter, 0.01)

@@ -96,11 +96,16 @@ def test_synthetic_protocol_refuses_a_split_with_no_held_out_sample(tmp_path):
         # csda's 7 of 30 passes; mcsda's 7 for a mode of 6 is refused before csda fits
         (["--methods", "csda,mcsda", "--subspace", "7x1"],
          "usage error: subspace dimension 7 for mode 0 outside 1..6"),
+        # one-mode mda is lda's criterion: one direction against the rest
+        (["--dims", "8", "--subspace", "2", "--methods", "mda"],
+         "usage error: mda subspace dimension 2 exceeds n_classes - 1 = 1, the cap of the "
+         "positive-vs-rest problem"),
         (["--report", "{tmp}"],
          "synthetic_protocol.py: error: argument --report: '{tmp}' is a directory"),
     ],
     ids=["unknown_method", "no_repeats", "fraction_above_one", "no_classes", "one_class",
-         "negative_lambda", "negative_seed", "subspace_beyond_dims", "report_is_a_directory"],
+         "negative_lambda", "negative_seed", "subspace_beyond_dims", "one_mode_mda_cap",
+         "report_is_a_directory"],
 )
 def test_synthetic_protocol_refuses_bad_methods_and_repeats(tmp_path, args, message):
     # refused with one line (argparse's after its usage line) before any

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from mcsda.cli import _build_parser
+from mcsda.discriminant import _projection_shapes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,14 +28,28 @@ def readme_command_lines():
 
 
 def test_readme_command_lines_parse():
+    # every line parses, and each `mcsda train` line passes the fit's shape
+    # rule against the dims and class count of the `mcsda synth` line that
+    # wrote its --data, so an example that `train` would refuse fails here
     lines = readme_command_lines()
     assert {shlex.split(line)[1] for line in lines} == {"synth", "train", "eval", "bench"}
     parser = _build_parser()
+    written = {}
     for line in lines:
         try:
-            parser.parse_args(shlex.split(line, comments=True)[1:])
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command line does not parse: {line}")
+        if args.command == "synth":
+            written[args.out] = args
+        elif args.command == "train":
+            synth = written[args.data]
+            sub = args.dims[0] if len(args.dims) == 1 else args.dims
+            positive = 1 if args.one_vs_rest else args.positive_class
+            try:
+                _projection_shapes(args.method, sub, synth.dims, synth.classes, positive)
+            except ValueError as err:
+                pytest.fail(f"README train line is refused: {line}: {err}")
 
 
 def tier1_command():
